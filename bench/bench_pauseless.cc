@@ -174,7 +174,6 @@ CellResult RunCell(size_t table_size, size_t shards, size_t threads,
   {  // pauseless run
     txn::ConcurrentServiceOptions options;
     options.num_shards = shards;
-    options.detection_mode = txn::DetectionMode::kPeriodic;
     options.snapshot_strategy = txn::SnapshotStrategy::kEpochDelta;
     options.detection_threads = 2;
     Result<std::unique_ptr<txn::ConcurrentLockService>> service =
@@ -192,7 +191,6 @@ CellResult RunCell(size_t table_size, size_t shards, size_t threads,
   {  // stop-the-world twin
     txn::ConcurrentServiceOptions options;
     options.num_shards = shards;
-    options.detection_mode = txn::DetectionMode::kPeriodic;
     options.snapshot_strategy = txn::SnapshotStrategy::kStopTheWorld;
     options.detection_threads = 2;
     Result<std::unique_ptr<txn::ConcurrentLockService>> service =

@@ -241,7 +241,6 @@ int main(int argc, char** argv) {
   RaiseFdLimit(2 * connections + 256);
 
   txn::ConcurrentServiceOptions service_options;
-  service_options.detection_mode = txn::DetectionMode::kPeriodic;
   service_options.num_shards = 8;
   service_options.detection_period = std::chrono::microseconds(1000);
   service_options.detection_threads = 2;

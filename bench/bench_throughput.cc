@@ -284,7 +284,6 @@ CellResult RunConcurrent(size_t txns, double theta, size_t resources,
 
   txn::ConcurrentServiceOptions options;
   options.num_shards = shards;
-  options.detection_mode = txn::DetectionMode::kPeriodic;
   // detection_period stays 0: no detector thread, the driver pumps
   // RunDetectionPass itself so every cell measures the same pass load.
   auto service = txn::ConcurrentLockService::Create(options).value();

@@ -1,9 +1,10 @@
 // Copyright (c) the twbg authors. Licensed under the MIT license.
 //
 // Multi-threaded bank: N worker threads move money between hot accounts
-// with crossing lock orders.  The ConcurrentLockService wrapper parks
-// waiters on condition variables and resolves every deadlock inline via
-// the continuous H/W-TWBG detector — workers just retry on Aborted.
+// with crossing lock orders.  The ConcurrentLockService parks waiters on
+// condition variables; its detector thread runs the periodic H/W-TWBG
+// pass every millisecond and aborts a victim per deadlock — workers just
+// retry on Aborted.
 //
 //   $ ./concurrent_bank [threads] [transfers_per_thread]
 
@@ -26,8 +27,10 @@ int main(int argc, char** argv) {
   const int transfers = argc > 2 ? std::atoi(argv[2]) : 200;
   constexpr int kAccounts = 4;
 
+  txn::ConcurrentServiceOptions options;
+  options.detection_period = std::chrono::milliseconds(1);
   Result<std::unique_ptr<txn::ConcurrentLockService>> created =
-      txn::ConcurrentLockService::Create(txn::ConcurrentServiceOptions{});
+      txn::ConcurrentLockService::Create(options);
   if (!created.ok()) {
     std::printf("service: %s\n", created.status().ToString().c_str());
     return 1;

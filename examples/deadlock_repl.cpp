@@ -173,7 +173,6 @@ int main(int argc, char** argv) {
         twbg::txn::ClientScriptOptions{.echo = echo});
   } else if (service_mode) {
     twbg::txn::ConcurrentServiceOptions options;
-    options.detection_mode = twbg::txn::DetectionMode::kPeriodic;
     auto service = twbg::txn::ConcurrentLockService::Create(options);
     if (!service.ok()) {
       std::fprintf(stderr, "service: %s\n",

@@ -86,12 +86,14 @@ bool HandleCycle(size_t v, size_t w, lock::TransactionId root, Tst& tst,
   // distinct resource the cycle's edges traverse, with its current
   // version.  A pauseless apply phase re-checks these against the live
   // shards — any mismatch means the cycle was derived from state that has
-  // since moved, and the decision is dropped as stale.
+  // since moved, and the decision is dropped as stale.  Every real edge
+  // carries the resource that induced it (R0 included), so this covers
+  // every resource the apply mutates: a TDR-2 victim's resource is the
+  // rid of its W-labeled in-edge.
   std::vector<std::pair<lock::ResourceId, uint64_t>> evidence;
   if (options.capture_evidence) {
     for (const CycleEdgeView& view : views) {
       const lock::ResourceId rid = view.out.rid;
-      if (rid == 0) continue;
       bool seen = false;
       for (const auto& entry : evidence) seen = seen || entry.first == rid;
       if (seen) continue;

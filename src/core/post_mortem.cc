@@ -139,10 +139,7 @@ CyclePostMortem BuildPostMortem(
   std::vector<lock::ResourceId> seen;
   for (const CycleEdgeView& view : views) {
     const lock::ResourceId rid = view.out.rid;
-    if (rid == 0 ||
-        std::find(seen.begin(), seen.end(), rid) != seen.end()) {
-      continue;
-    }
+    if (std::find(seen.begin(), seen.end(), rid) != seen.end()) continue;
     seen.push_back(rid);
     const lock::ResourceState* state = resources.FindResource(rid);
     if (state != nullptr) pm.queue_snapshots.push_back(state->ToString());

@@ -127,14 +127,14 @@ size_t SelectVictim(const std::vector<VictimCandidate>& candidates) {
       continue;
     }
     if (a.cost > b.cost) continue;
-    // Tie: prefer repositioning (no abort), then the lower junction id.
+    // Tie: prefer repositioning (no abort), then the younger junction.
     const bool a_repos = a.kind == VictimKind::kReposition;
     const bool b_repos = b.kind == VictimKind::kReposition;
     if (a_repos != b_repos) {
       if (a_repos) best = i;
       continue;
     }
-    if (a.junction < b.junction) best = i;
+    if (a.junction > b.junction) best = i;
   }
   return best;
 }

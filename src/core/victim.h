@@ -12,8 +12,14 @@
 //     sum(Cost(ST)) / divisor.
 //
 // The minimum-cost candidate wins; ties prefer TDR-2 (nobody dies), then
-// the lower junction id — both tie-breaks are ours (the paper only asks
-// for minimal cost).
+// the higher junction id — both tie-breaks are ours (the paper only asks
+// for minimal cost).  Transaction ids are issued in begin order, so the
+// id tie-break aborts the youngest junction: the oldest transaction on a
+// cycle of equal costs always survives, and a victim that retries comes
+// back younger than every survivor.  Aborting the older junction instead
+// livelocks periodic detection: a retry that queues within one period is
+// granted the freed lock ahead of the survivor and re-forms the cycle with
+// it, and the next tie aborts the survivor.
 
 #ifndef TWBG_CORE_VICTIM_H_
 #define TWBG_CORE_VICTIM_H_
@@ -55,7 +61,8 @@ Result<std::vector<VictimCandidate>> EnumerateCandidates(
     const DetectorOptions& options);
 
 /// Index of the winning candidate (minimum cost; ties prefer kReposition,
-/// then lower junction id).  Requires a non-empty candidate list.
+/// then the higher, younger junction id).  Requires a non-empty candidate
+/// list.
 size_t SelectVictim(const std::vector<VictimCandidate>& candidates);
 
 }  // namespace twbg::core

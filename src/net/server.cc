@@ -214,14 +214,10 @@ class Server::Impl {
       const auto at = std::chrono::steady_clock::now() + deadline;
       // A Stop after BeginDrain tightens the deadline; never loosens it.
       if (!was_draining || at < drain_deadline_at_) drain_deadline_at_ = at;
-      if (listen_fd_ >= 0) {
-        // Closing the listen socket is the "stop accepting" edge: the
-        // epoll registration dies with the fd and later connects are
-        // refused by the kernel.
-        close(listen_fd_);
-        listen_fd_ = -1;
-      }
     }
+    // The reactor owns the listen fd and closes it on this wakeup (Tick);
+    // closing it here would race the reactor's reads of the fd number,
+    // which the kernel may already have reused.
     WakeReactor();
   }
 
@@ -264,6 +260,16 @@ class Server::Impl {
       }
       if (Tick()) break;
     }
+  }
+
+  // Closing the listen socket is the "stop accepting" edge: the epoll
+  // registration dies with the fd and later connects are refused by the
+  // kernel.  Only the reactor touches listen_fd_ once it runs, so the
+  // number it compares events against is never a stale, reused one.
+  void CloseListener() {
+    if (listen_fd_ < 0) return;
+    close(listen_fd_);
+    listen_fd_ = -1;
   }
 
   int ComputeTimeoutMs() const {
@@ -482,6 +488,9 @@ class Server::Impl {
     }
 
     if (!draining_.load(std::memory_order_relaxed)) return false;
+    // Before AdvanceDrain can end the loop, so Join() never returns with
+    // the listener still open.
+    CloseListener();
     return AdvanceDrain();
   }
 
@@ -546,13 +555,15 @@ class Server::Impl {
   // whatever is left).  Done when no session remains.
   bool AdvanceDrain() {
     std::vector<std::shared_ptr<Session>> open;
+    std::chrono::steady_clock::time_point deadline_at;
     {
       std::scoped_lock lock(mu_);
       if (sessions_.empty() && run_queue_.empty()) return true;
       for (auto& [fd, session] : sessions_) open.push_back(session);
+      deadline_at = drain_deadline_at_;  // StartDrain may tighten it
     }
     const bool deadline_passed =
-        std::chrono::steady_clock::now() >= drain_deadline_at_;
+        std::chrono::steady_clock::now() >= deadline_at;
     bool any_live = false;
     if (!deadline_passed) {
       for (const auto& session : open) {
@@ -833,6 +844,7 @@ class Server::Impl {
   ServerOptions options_;
   txn::ConcurrentLockService* service_;
 
+  // Reactor-owned once Start has spawned the reactor (see CloseListener).
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
@@ -866,11 +878,6 @@ Result<std::unique_ptr<Server>> Server::Create(
   TWBG_RETURN_IF_ERROR(options.Validate());
   if (service == nullptr) {
     return Status::InvalidArgument("service must not be null");
-  }
-  if (service->options().detection_mode != txn::DetectionMode::kPeriodic) {
-    return Status::InvalidArgument(
-        "the daemon requires a kPeriodic service (non-blocking acquires "
-        "need AcquireAsync)");
   }
   return std::unique_ptr<Server>(
       new Server(std::make_unique<Impl>(std::move(options), service)));

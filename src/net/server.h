@@ -95,8 +95,8 @@ struct ServerStats {
 class Server {
  public:
   /// Validates `options` and builds the server around `service` (not
-  /// owned; must outlive the server and run the kPeriodic engine).
-  /// The socket is not opened until Start().
+  /// owned; must outlive the server).  The socket is not opened until
+  /// Start().
   static Result<std::unique_ptr<Server>> Create(
       ServerOptions options, txn::ConcurrentLockService* service);
 

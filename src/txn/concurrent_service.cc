@@ -58,24 +58,10 @@ Status ConcurrentServiceOptions::Validate() const {
     return Status::InvalidArgument(common::Format(
         "num_shards must be in [1, %zu], got %zu", kMaxShards, num_shards));
   }
-  if (detection_mode == DetectionMode::kContinuous) {
-    // Continuous detection runs inside every blocking acquire and needs
-    // the whole lock state under one mutex; reject — rather than silently
-    // ignore — options that only make sense for the sharded engine.
-    if (num_shards != 1) {
-      return Status::InvalidArgument(
-          "continuous detection requires num_shards == 1 "
-          "(use kPeriodic for a sharded service)");
-    }
-    if (detection_period.count() != 0) {
-      return Status::InvalidArgument(
-          "continuous detection has no detector thread; "
-          "detection_period must be 0");
-    }
-    if (detection_threads != 0) {
-      return Status::InvalidArgument(
-          "continuous detection runs inline; detection_threads must be 0");
-    }
+  if (detection_mode != DetectionMode::kPeriodic) {
+    return Status::InvalidArgument(
+        "the service detects periodically; continuous detection is "
+        "TransactionManager's");
   }
   Status sched_status = scheduler.Validate();
   if (!sched_status.ok()) return sched_status;
@@ -86,11 +72,10 @@ Status ConcurrentServiceOptions::Validate() const {
   if (scheduler.policy != sched::SchedulerPolicy::kFixedPeriod) {
     // Closed-loop scheduling retunes the detector thread's wait; it is
     // meaningless without a detector thread to drive.
-    if (detection_mode != DetectionMode::kPeriodic ||
-        detection_period.count() <= 0) {
+    if (detection_period.count() <= 0) {
       return Status::InvalidArgument(
           "adaptive scheduling (scheduler.policy != kFixedPeriod) requires "
-          "kPeriodic mode with detection_period > 0");
+          "detection_period > 0");
     }
   }
   return robustness.Validate();
@@ -166,29 +151,9 @@ Result<std::unique_ptr<ConcurrentLockService>> ConcurrentLockService::Create(
 }
 
 ConcurrentLockService::ConcurrentLockService(ConcurrentServiceOptions options)
-    : options_(NormalizeConcurrent(std::move(options))),
-      mode_(options_.detection_mode) {
+    : options_(NormalizeConcurrent(std::move(options))) {
   if (!options_.fault_plan.empty()) {
     injector_ = std::make_unique<robustness::FaultInjector>(options_.fault_plan);
-  }
-  if (mode_ == DetectionMode::kContinuous) {
-    TransactionManagerOptions tm_options;
-    tm_options.detection_mode = DetectionMode::kContinuous;
-    tm_options.cost_policy = options_.cost_policy;
-    tm_options.detector = options_.detector;
-    // The inner manager's continuous detector runs under mu_, so the
-    // tracer's single-writer contract holds; it emits the pass / step /
-    // resolution spans for this mode.
-    if (tm_options.detector.span_tracer == nullptr) {
-      tm_options.detector.span_tracer = options_.span_tracer;
-    }
-    tm_options.event_bus = options_.event_bus;
-    // The inner manager runs the Begin-time admission check; deadlines
-    // stay with the service (the manager's clock is logical, ours is wall
-    // time) and are implemented in ContinuousAcquire.
-    tm_options.robustness.admission = options_.robustness.admission;
-    tm_ = std::make_unique<TransactionManager>(tm_options);
-    return;
   }
   bus_ = options_.event_bus;
   tracer_ = options_.span_tracer;
@@ -256,22 +221,36 @@ size_t ConcurrentLockService::ShardIndex(lock::ResourceId rid) const {
   return static_cast<size_t>((h >> 32) % shards_.size());
 }
 
+std::unique_lock<std::mutex> ConcurrentLockService::LockShard(Shard& shard) {
+  std::unique_lock<std::mutex> sl(shard.mu, std::try_to_lock);
+  const bool contended = !sl.owns_lock();
+  if (contended) sl.lock();
+  shard.ops++;
+  if (contended) shard.acquire_waits++;
+  return sl;
+}
+
 std::vector<std::unique_lock<std::mutex>> ConcurrentLockService::LockShards(
     uint64_t mask, common::Stopwatch& hold) {
   TWBG_DCHECK(t_in_sealed_detect == 0);
   std::vector<std::unique_lock<std::mutex>> locks;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if ((mask & (uint64_t{1} << s)) == 0) continue;
-    Shard& shard = *shards_[s];
-    std::unique_lock<std::mutex> sl(shard.mu, std::try_to_lock);
-    const bool contended = !sl.owns_lock();
-    if (contended) sl.lock();
-    shard.ops++;
-    if (contended) shard.acquire_waits++;
-    locks.push_back(std::move(sl));
+    locks.push_back(LockShard(*shards_[s]));
   }
   hold.Reset();
   return locks;
+}
+
+void ConcurrentLockService::UnlockAllShards(
+    std::vector<std::unique_lock<std::mutex>>& locks,
+    const common::Stopwatch& hold) {
+  const uint64_t hold_ns = static_cast<uint64_t>(hold.ElapsedNanos());
+  for (auto& shard : shards_) {
+    shard->hold_ns += hold_ns;
+    shard->cv.notify_all();
+  }
+  locks.clear();
 }
 
 void ConcurrentLockService::EmitStandalone(obs::Event event) {
@@ -298,18 +277,6 @@ void ConcurrentLockService::CloseSpanStandalone(uint64_t id, uint64_t a,
 }
 
 Result<lock::TransactionId> ConcurrentLockService::Begin() {
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Result<lock::TransactionId> tid = tm_->Begin();
-    if (!tid.ok() && tid.status().IsResourceExhausted()) {
-      admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return tid;
-  }
-  return PeriodicBegin();
-}
-
-Result<lock::TransactionId> ConcurrentLockService::PeriodicBegin() {
   std::scoped_lock tl(txn_mu_);
   const robustness::AdmissionOptions& adm = options_.robustness.admission;
   if (adm.max_inflight_txns != 0) {
@@ -318,16 +285,11 @@ Result<lock::TransactionId> ConcurrentLockService::PeriodicBegin() {
     Status admitted = robustness::WatermarkAdmission(adm).AdmitBegin(ctx);
     if (!admitted.ok()) {
       admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-      if (bus_ != nullptr) {
-        std::scoped_lock ol(obs_mu_);
-        if (bus_->active()) {
-          obs::Event event;
-          event.kind = obs::EventKind::kAdmissionReject;
-          event.a = live_txns_;
-          event.b = adm.max_inflight_txns;
-          bus_->Emit(event);
-        }
-      }
+      obs::Event event;
+      event.kind = obs::EventKind::kAdmissionReject;
+      event.a = live_txns_;
+      event.b = adm.max_inflight_txns;
+      EmitStandalone(std::move(event));
       return admitted;
     }
   }
@@ -349,148 +311,74 @@ Result<lock::TransactionId> ConcurrentLockService::PeriodicBegin() {
   return tid;
 }
 
+Result<lock::RequestOutcome> ConcurrentLockService::RequestLocked(
+    lock::TransactionId tid, lock::ResourceId rid, lock::LockMode mode,
+    size_t shard_index, TxnRecord** rec_out) {
+  Shard& shard = *shards_[shard_index];
+  std::scoped_lock tl(txn_mu_);
+  auto it = txns_.find(tid);
+  if (it == txns_.end()) {
+    return Status::NotFound(common::Format("unknown transaction T%u", tid));
+  }
+  TxnRecord& rec = it->second;
+  const TxnState state = rec.state.load(std::memory_order_relaxed);
+  if (state != TxnState::kActive) {
+    return Status::FailedPrecondition(
+        common::Format("T%u is %s and cannot request locks", tid,
+                       std::string(ToString(state)).c_str()));
+  }
+  // Record the routing before the request: commits/aborts must lock this
+  // shard even if the request errors after registering the txn.
+  rec.shard_mask |= uint64_t{1} << shard_index;
+  // Backpressure: shed requests that would deepen an already saturated
+  // shard.  Holders are exempt — a conversion must be allowed through or
+  // the holder could never finish and drain the queue.
+  const uint64_t watermark = options_.robustness.admission.queue_depth_watermark;
+  if (watermark != 0) {
+    const lock::ResourceState* res = shard.lm.table().Find(rid);
+    const bool holder = res != nullptr && res->FindHolder(tid) != nullptr;
+    if (!holder) {
+      robustness::AdmissionContext ctx;
+      ctx.inflight_txns = live_txns_;
+      ctx.queue_depth = shard.lm.BlockedTransactions().size();
+      Status admitted =
+          robustness::WatermarkAdmission(options_.robustness.admission)
+              .AdmitAcquire(ctx);
+      if (!admitted.ok()) {
+        admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+        obs::Event event;
+        event.kind = obs::EventKind::kAdmissionReject;
+        event.tid = tid;
+        event.rid = rid;
+        event.a = ctx.queue_depth;
+        event.b = watermark;
+        EmitStandalone(std::move(event));
+        return admitted;
+      }
+    }
+  }
+  std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
+  if (observed()) ol.lock();
+  Result<lock::RequestOutcome> result = shard.lm.Acquire(tid, rid, mode);
+  if (!result.ok()) return result.status();
+  rec.ops_executed++;
+  RefreshCostLocked(tid, rec);
+  switch (*result) {
+    case lock::RequestOutcome::kGranted:
+      rec.locks_granted++;
+      RefreshCostLocked(tid, rec);
+      break;
+    case lock::RequestOutcome::kAlreadyHeld:
+      break;
+    case lock::RequestOutcome::kBlocked:
+      rec.state.store(TxnState::kBlocked, std::memory_order_relaxed);
+      break;
+  }
+  *rec_out = &rec;
+  return *result;
+}
+
 Status ConcurrentLockService::AcquireBlocking(lock::TransactionId tid,
-                                              lock::ResourceId rid,
-                                              lock::LockMode mode) {
-  if (mode_ == DetectionMode::kPeriodic) {
-    return PeriodicAcquire(tid, rid, mode);
-  }
-  return ContinuousAcquire(tid, rid, mode);
-}
-
-Status ConcurrentLockService::ContinuousAcquire(lock::TransactionId tid,
-                                                lock::ResourceId rid,
-                                                lock::LockMode mode) {
-  uint64_t grant_delay_us = 0;
-  if (injector_ != nullptr) {
-    // Read the transaction's operation index (the schedule address) and
-    // fire any fault planted there.
-    std::optional<robustness::Fault> fault;
-    std::optional<robustness::Fault> stall;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const Transaction* txn = tm_->Find(tid);
-      if (txn != nullptr && txn->state == TxnState::kActive) {
-        fault = injector_->TakeAcquireFault(tid, txn->ops_executed);
-      }
-      stall = injector_->TakeShardStall(0);  // the single "shard"
-      obs::EventBus* bus = options_.event_bus;
-      if (fault.has_value() && obs::Enabled(bus)) bus->Emit(FaultEvent(*fault));
-      if (stall.has_value() && obs::Enabled(bus)) bus->Emit(FaultEvent(*stall));
-      if (stall.has_value()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(stall->duration));
-      }
-      if (fault.has_value() &&
-          fault->kind == robustness::FaultKind::kCrashTxn) {
-        Status aborted = tm_->Abort(tid);
-        if (!aborted.ok()) return aborted;
-      }
-    }
-    if (fault.has_value()) {
-      if (fault->kind == robustness::FaultKind::kCrashTxn) {
-        cv_.notify_all();
-        return Status::Aborted(
-            common::Format("T%u crashed by injected fault", tid));
-      }
-      grant_delay_us = fault->duration;
-    }
-  }
-
-  std::unique_lock<std::mutex> lock(mu_);
-  Status outcome = tm_->Acquire(tid, rid, mode);
-  // The continuous detector may have resolved a deadlock inside Acquire:
-  // wake anyone it granted or aborted.
-  cv_.notify_all();
-  if (outcome.IsDeadlockVictim()) {
-    ++cont_deadlock_victims_;
-    return outcome;
-  }
-  if (outcome.IsResourceExhausted()) {
-    admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-    return outcome;
-  }
-  if (outcome.ok()) {
-    lock.unlock();
-    if (grant_delay_us != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(grant_delay_us));
-    }
-    return outcome;
-  }
-  if (!outcome.IsWouldBlock()) return outcome;
-
-  // Park until the lock manager grants us (state back to Active) or a
-  // later resolution kills us.  Progress is guaranteed: continuous
-  // detection leaves no deadlock behind, so every wait ends with some
-  // transaction's commit/abort — or with our deadline.
-  const uint64_t deadline_us = options_.robustness.deadline.lock_wait;
-  const auto blocked = [&] {
-    Result<TxnState> state = tm_->State(tid);
-    return state.ok() && *state == TxnState::kBlocked;
-  };
-  if (deadline_us == 0 && injector_ == nullptr) {
-    cv_.wait(lock, [&] { return !blocked(); });
-  } else {
-    const auto expiry =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(deadline_us);
-    while (blocked()) {
-      if (deadline_us != 0 && std::chrono::steady_clock::now() >= expiry) {
-        // Still blocked under mu_, so nothing can race the cancellation:
-        // this is the single resolution of the wait.
-        const lock::LockManager& lm = tm_->lock_manager();
-        const lock::TxnLockInfo* info = lm.Info(tid);
-        TWBG_CHECK(info != nullptr && info->blocked_on.has_value());
-        const lock::ResourceId wait_rid = *info->blocked_on;
-        const lock::LockMode wait_mode = info->blocked_mode;
-        const uint64_t span = info->wait_span;
-        TWBG_CHECK(tm_->CancelWait(tid).ok());
-        const uint32_t expiries = ++cont_expiries_[tid];
-        deadline_expiries_.fetch_add(1, std::memory_order_relaxed);
-        const uint32_t abort_after = options_.robustness.deadline.abort_after;
-        const bool escalate = abort_after != 0 && expiries >= abort_after;
-        obs::EventBus* bus = options_.event_bus;
-        if (obs::Enabled(bus)) {
-          obs::Event event;
-          event.kind = obs::EventKind::kDeadlineExpired;
-          event.tid = tid;
-          event.rid = wait_rid;
-          event.mode = wait_mode;
-          event.span = span;
-          event.a = expiries;
-          event.b = escalate ? 1 : 0;
-          bus->Emit(event);
-        }
-        if (escalate) {
-          deadline_aborts_.fetch_add(1, std::memory_order_relaxed);
-          TWBG_CHECK(tm_->Abort(tid).ok());
-          lock.unlock();
-          cv_.notify_all();
-          return Status::DeadlineExceeded(common::Format(
-              "T%u wait on R%u exceeded its deadline; aborted after %u "
-              "expired waits",
-              tid, wait_rid, expiries));
-        }
-        lock.unlock();
-        cv_.notify_all();  // waiters granted by the withdrawal
-        return Status::DeadlineExceeded(common::Format(
-            "T%u wait on R%u exceeded its deadline", tid, wait_rid));
-      }
-      cv_.wait_for(lock, kWaitPoll);
-    }
-  }
-  Result<TxnState> state = tm_->State(tid);
-  if (state.ok() && *state == TxnState::kActive) {
-    lock.unlock();
-    if (grant_delay_us != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(grant_delay_us));
-    }
-    return Status::OK();
-  }
-  ++cont_deadlock_victims_;
-  return Status::DeadlockVictim(
-      common::Format("T%u aborted as deadlock victim while waiting", tid));
-}
-
-Status ConcurrentLockService::PeriodicAcquire(lock::TransactionId tid,
                                               lock::ResourceId rid,
                                               lock::LockMode mode) {
   TWBG_DCHECK(t_in_sealed_detect == 0);
@@ -500,8 +388,8 @@ Status ConcurrentLockService::PeriodicAcquire(lock::TransactionId tid,
   uint64_t grant_delay_us = 0;
   if (injector_ != nullptr) {
     // Fire acquire-addressed faults before taking any shard mutex: the
-    // crash path re-enters PeriodicTerminate, which locks shards itself
-    // (lock order forbids doing that while one is held).
+    // crash path re-enters Terminate, which locks shards itself (lock
+    // order forbids doing that while one is held).
     std::optional<robustness::Fault> fault;
     {
       std::scoped_lock tl(txn_mu_);
@@ -515,7 +403,7 @@ Status ConcurrentLockService::PeriodicAcquire(lock::TransactionId tid,
     if (fault.has_value()) {
       EmitStandalone(FaultEvent(*fault));
       if (fault->kind == robustness::FaultKind::kCrashTxn) {
-        Status aborted = PeriodicTerminate(tid, /*commit=*/false);
+        Status aborted = Terminate(tid, /*commit=*/false);
         if (!aborted.ok()) return aborted;
         return Status::Aborted(
             common::Format("T%u crashed by injected fault", tid));
@@ -532,88 +420,14 @@ Status ConcurrentLockService::PeriodicAcquire(lock::TransactionId tid,
     }
   }
 
-  std::unique_lock<std::mutex> sl(shard.mu, std::try_to_lock);
-  const bool contended = !sl.owns_lock();
-  if (contended) sl.lock();
+  std::unique_lock<std::mutex> sl = LockShard(shard);
   common::Stopwatch hold;
-  shard.ops++;
-  if (contended) shard.acquire_waits++;
-
   TxnRecord* rec = nullptr;
-  lock::RequestOutcome outcome;
-  {
-    std::scoped_lock tl(txn_mu_);
-    auto it = txns_.find(tid);
-    if (it == txns_.end()) {
-      return Status::NotFound(common::Format("unknown transaction T%u", tid));
-    }
-    rec = &it->second;
-    const TxnState state = rec->state.load(std::memory_order_relaxed);
-    if (state != TxnState::kActive) {
-      return Status::FailedPrecondition(
-          common::Format("T%u is %s and cannot request locks", tid,
-                         std::string(ToString(state)).c_str()));
-    }
-    // Record the routing before the request: commits/aborts must lock
-    // this shard even if the request errors after registering the txn.
-    rec->shard_mask |= uint64_t{1} << shard_index;
-    // Backpressure: shed requests that would deepen an already saturated
-    // shard.  Holders are exempt — a conversion must be allowed through
-    // or the holder could never finish and drain the queue.
-    const uint64_t watermark = options_.robustness.admission.queue_depth_watermark;
-    if (watermark != 0) {
-      const lock::ResourceState* res = shard.lm.table().Find(rid);
-      const bool holder = res != nullptr && res->FindHolder(tid) != nullptr;
-      if (!holder) {
-        robustness::AdmissionContext ctx;
-        ctx.inflight_txns = live_txns_;
-        ctx.queue_depth = shard.lm.BlockedTransactions().size();
-        Status admitted = robustness::WatermarkAdmission(
-                              options_.robustness.admission)
-                              .AdmitAcquire(ctx);
-        if (!admitted.ok()) {
-          admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-          if (bus_ != nullptr) {
-            std::scoped_lock ol(obs_mu_);
-            if (bus_->active()) {
-              obs::Event event;
-              event.kind = obs::EventKind::kAdmissionReject;
-              event.tid = tid;
-              event.rid = rid;
-              event.a = ctx.queue_depth;
-              event.b = watermark;
-              bus_->Emit(event);
-            }
-          }
-          shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
-          return admitted;
-        }
-      }
-    }
-    std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
-    if (observed()) ol.lock();
-    Result<lock::RequestOutcome> result = shard.lm.Acquire(tid, rid, mode);
-    if (!result.ok()) {
-      shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
-      return result.status();
-    }
-    rec->ops_executed++;
-    RefreshCostLocked(tid, *rec);
-    outcome = *result;
-    switch (outcome) {
-      case lock::RequestOutcome::kGranted:
-        rec->locks_granted++;
-        RefreshCostLocked(tid, *rec);
-        break;
-      case lock::RequestOutcome::kAlreadyHeld:
-        break;
-      case lock::RequestOutcome::kBlocked:
-        rec->state.store(TxnState::kBlocked, std::memory_order_relaxed);
-        break;
-    }
-  }
+  Result<lock::RequestOutcome> outcome =
+      RequestLocked(tid, rid, mode, shard_index, &rec);
   shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
-  if (outcome != lock::RequestOutcome::kBlocked) {
+  if (!outcome.ok()) return outcome.status();
+  if (*outcome != lock::RequestOutcome::kBlocked) {
     sl.unlock();
     if (grant_delay_us != 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(grant_delay_us));
@@ -642,12 +456,12 @@ Status ConcurrentLockService::PeriodicAcquire(lock::TransactionId tid,
     while (!unblocked()) {
       if (deadline_us != 0 && std::chrono::steady_clock::now() >= expiry) {
         bool escalate = false;
-        Status expired = CancelPeriodicWait(tid, shard, &escalate);
+        Status expired = CancelWait(tid, shard, &escalate);
         if (expired.ok()) break;  // a grant raced in: single resolution
         sl.unlock();
         shard.cv.notify_all();  // waiters granted by the withdrawal
         if (escalate) {
-          Status aborted = PeriodicTerminate(tid, /*commit=*/false);
+          Status aborted = Terminate(tid, /*commit=*/false);
           TWBG_CHECK(aborted.ok());
         }
         return expired;
@@ -668,100 +482,23 @@ Status ConcurrentLockService::PeriodicAcquire(lock::TransactionId tid,
 
 Result<lock::RequestOutcome> ConcurrentLockService::AcquireAsync(
     lock::TransactionId tid, lock::ResourceId rid, lock::LockMode mode) {
-  if (mode_ != DetectionMode::kPeriodic) {
-    return Status::FailedPrecondition(
-        "AcquireAsync requires kPeriodic mode (the continuous engine "
-        "resolves deadlocks inside blocking acquires; use AcquireBlocking)");
-  }
   TWBG_DCHECK(t_in_sealed_detect == 0);
   const size_t shard_index = ShardIndex(rid);
+  // The registration half of AcquireBlocking, returning the outcome
+  // instead of parking on the shard cv.  A later grant flips the record's
+  // atomic state via ReactivateLocked whether or not a thread is parked,
+  // so callers observe it through State(tid).
   Shard& shard = *shards_[shard_index];
-
-  std::unique_lock<std::mutex> sl(shard.mu, std::try_to_lock);
-  const bool contended = !sl.owns_lock();
-  if (contended) sl.lock();
+  std::unique_lock<std::mutex> sl = LockShard(shard);
   common::Stopwatch hold;
-  shard.ops++;
-  if (contended) shard.acquire_waits++;
-
-  // Mirrors the registration half of PeriodicAcquire exactly — routing
-  // mask, admission watermark, lock-manager request, state/cost updates —
-  // but returns the outcome instead of parking on the shard cv.  A later
-  // grant flips the record's atomic state via ReactivateLocked whether or
-  // not a thread is parked, so callers observe it through State(tid).
-  std::scoped_lock tl(txn_mu_);
-  auto it = txns_.find(tid);
-  if (it == txns_.end()) {
-    return Status::NotFound(common::Format("unknown transaction T%u", tid));
-  }
-  TxnRecord& rec = it->second;
-  const TxnState state = rec.state.load(std::memory_order_relaxed);
-  if (state != TxnState::kActive) {
-    return Status::FailedPrecondition(
-        common::Format("T%u is %s and cannot request locks", tid,
-                       std::string(ToString(state)).c_str()));
-  }
-  rec.shard_mask |= uint64_t{1} << shard_index;
-  const uint64_t watermark = options_.robustness.admission.queue_depth_watermark;
-  if (watermark != 0) {
-    const lock::ResourceState* res = shard.lm.table().Find(rid);
-    const bool holder = res != nullptr && res->FindHolder(tid) != nullptr;
-    if (!holder) {
-      robustness::AdmissionContext ctx;
-      ctx.inflight_txns = live_txns_;
-      ctx.queue_depth = shard.lm.BlockedTransactions().size();
-      Status admitted =
-          robustness::WatermarkAdmission(options_.robustness.admission)
-              .AdmitAcquire(ctx);
-      if (!admitted.ok()) {
-        admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-        if (bus_ != nullptr) {
-          std::scoped_lock ol(obs_mu_);
-          if (bus_->active()) {
-            obs::Event event;
-            event.kind = obs::EventKind::kAdmissionReject;
-            event.tid = tid;
-            event.rid = rid;
-            event.a = ctx.queue_depth;
-            event.b = watermark;
-            bus_->Emit(event);
-          }
-        }
-        shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
-        return admitted;
-      }
-    }
-  }
-  std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
-  if (observed()) ol.lock();
-  Result<lock::RequestOutcome> result = shard.lm.Acquire(tid, rid, mode);
-  if (!result.ok()) {
-    shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
-    return result.status();
-  }
-  rec.ops_executed++;
-  RefreshCostLocked(tid, rec);
-  switch (*result) {
-    case lock::RequestOutcome::kGranted:
-      rec.locks_granted++;
-      RefreshCostLocked(tid, rec);
-      break;
-    case lock::RequestOutcome::kAlreadyHeld:
-      break;
-    case lock::RequestOutcome::kBlocked:
-      rec.state.store(TxnState::kBlocked, std::memory_order_relaxed);
-      break;
-  }
+  TxnRecord* rec = nullptr;
+  Result<lock::RequestOutcome> outcome =
+      RequestLocked(tid, rid, mode, shard_index, &rec);
   shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
-  return *result;
+  return outcome;
 }
 
 Status ConcurrentLockService::SetCost(lock::TransactionId tid, double cost) {
-  if (mode_ != DetectionMode::kPeriodic) {
-    return Status::FailedPrecondition(
-        "SetCost requires kPeriodic mode (the continuous engine's costs "
-        "are policy-managed by its inner TransactionManager)");
-  }
   std::scoped_lock tl(txn_mu_);
   auto it = txns_.find(tid);
   if (it == txns_.end()) {
@@ -779,9 +516,8 @@ Status ConcurrentLockService::SetCost(lock::TransactionId tid, double cost) {
   return Status::OK();
 }
 
-Status ConcurrentLockService::CancelPeriodicWait(lock::TransactionId tid,
-                                                 Shard& shard,
-                                                 bool* escalate) {
+Status ConcurrentLockService::CancelWait(lock::TransactionId tid,
+                                         Shard& shard, bool* escalate) {
   *escalate = false;
   std::scoped_lock tl(txn_mu_);
   auto it = txns_.find(tid);
@@ -837,42 +573,14 @@ Status ConcurrentLockService::CancelPeriodicWait(lock::TransactionId tid,
 }
 
 Status ConcurrentLockService::Commit(lock::TransactionId tid) {
-  if (mode_ == DetectionMode::kPeriodic) {
-    return PeriodicTerminate(tid, /*commit=*/true);
-  }
-  Status status;
-  bool drop = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    status = tm_->Commit(tid);
-    if (status.ok() && injector_ != nullptr) {
-      drop = injector_->TakeDropWakeup(tid);
-      if (drop && obs::Enabled(options_.event_bus)) {
-        robustness::Fault fault;
-        fault.kind = robustness::FaultKind::kDropWakeup;
-        fault.txn = tid;
-        options_.event_bus->Emit(FaultEvent(fault));
-      }
-    }
-  }
-  // A dropped wakeup swallows the notification; polling waiters (always
-  // the case when an injector is present) recover on their next poll.
-  if (!drop) cv_.notify_all();
-  return status;
+  return Terminate(tid, /*commit=*/true);
 }
 
 Status ConcurrentLockService::Abort(lock::TransactionId tid) {
-  if (mode_ == DetectionMode::kPeriodic) {
-    return PeriodicTerminate(tid, /*commit=*/false);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  Status status = tm_->Abort(tid);
-  cv_.notify_all();
-  return status;
+  return Terminate(tid, /*commit=*/false);
 }
 
-Status ConcurrentLockService::PeriodicTerminate(lock::TransactionId tid,
-                                                bool commit) {
+Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
   // Lock ordering requires the shard mutexes before txn_mu_, so peek at
   // the mask first.  Only this transaction's own thread grows it, and
   // the protocol forbids concurrent operations on one transaction, so
@@ -1001,14 +709,6 @@ std::vector<lock::TransactionId> ConcurrentLockService::ReleaseAllShardsLocked(
 }
 
 core::ResolutionReport ConcurrentLockService::RunDetectionPass() {
-  if (mode_ == DetectionMode::kPeriodic) return RunPeriodicPass();
-  std::lock_guard<std::mutex> lock(mu_);
-  core::ResolutionReport report = tm_->RunDetection();
-  cv_.notify_all();
-  return report;
-}
-
-core::ResolutionReport ConcurrentLockService::RunPeriodicPass() {
   if (degraded_remaining_.load(std::memory_order_relaxed) > 0) {
     return RunTimeoutSweep();
   }
@@ -1046,33 +746,30 @@ core::ResolutionReport ConcurrentLockService::RunStopTheWorldPass() {
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   const uint64_t pause_ns = static_cast<uint64_t>(pause.ElapsedNanos());
-  const uint64_t hold_ns = static_cast<uint64_t>(hold.ElapsedNanos());
-  for (auto& shard : shards_) {
-    shard->hold_ns += hold_ns;
-    shard->cv.notify_all();
-  }
-  shard_locks.clear();
+  UnlockAllShards(shard_locks, hold);
   {
     std::scoped_lock stl(stats_mu_);
     pause_times_ns_.push_back(pause_ns);
   }
-  // Graceful degradation: a pass that blew its pause budget switches the
-  // next K scheduled passes to the cheap timeout-resolver sweep.  The
-  // budget is judged against the period in effect during THIS pass, so
-  // the retune below cannot excuse the pause that motivated it.
-  const uint64_t budget_ns = EffectivePauseBudgetNs();
-  if (budget_ns != 0 && pause_ns > budget_ns) {
-    const uint32_t passes = options_.robustness.degradation.degraded_passes;
-    degraded_remaining_.store(passes, std::memory_order_relaxed);
-    obs::Event event;
-    event.kind = obs::EventKind::kDegraded;
-    event.a = passes;
-    event.b = pause_ns / 1000;               // the offending pause, µs
-    event.value = static_cast<double>(budget_ns) / 1000.0;  // budget, µs
-    EmitStandalone(std::move(event));
-  }
+  DegradeIfOverBudget(pause_ns);
   UpdateSchedulerAfterPass(pause_ns, report);
   return report;
+}
+
+void ConcurrentLockService::DegradeIfOverBudget(uint64_t pause_ns) {
+  // The budget is judged against the period in effect during the pass
+  // that paused, so a retune after it cannot excuse the pause that
+  // motivated it.
+  const uint64_t budget_ns = EffectivePauseBudgetNs();
+  if (budget_ns == 0 || pause_ns <= budget_ns) return;
+  const uint32_t passes = options_.robustness.degradation.degraded_passes;
+  degraded_remaining_.store(passes, std::memory_order_relaxed);
+  obs::Event event;
+  event.kind = obs::EventKind::kDegraded;
+  event.a = passes;
+  event.b = pause_ns / 1000;                              // the pause, µs
+  event.value = static_cast<double>(budget_ns) / 1000.0;  // budget, µs
+  EmitStandalone(std::move(event));
 }
 
 core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
@@ -1095,11 +792,7 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
     const uint64_t publish_span = OpenSpanStandalone(
         obs::SpanKind::kPublish, static_cast<uint32_t>(s), pass_span);
     {
-      std::unique_lock<std::mutex> sl(shard.mu, std::try_to_lock);
-      const bool contended = !sl.owns_lock();
-      if (contended) sl.lock();
-      shard.ops++;
-      if (contended) shard.acquire_waits++;
+      std::unique_lock<std::mutex> sl = LockShard(shard);
       common::Stopwatch publish;
       capture = snapshots_[s].Capture(shard.lm);
       publish_ns = static_cast<uint64_t>(publish.ElapsedNanos());
@@ -1408,12 +1101,7 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   const uint64_t apply_ns = static_cast<uint64_t>(apply_pause.ElapsedNanos());
-  const uint64_t hold_ns = static_cast<uint64_t>(hold.ElapsedNanos());
-  for (auto& shard : shards_) {
-    shard->hold_ns += hold_ns;
-    shard->cv.notify_all();
-  }
-  shard_locks.clear();
+  UnlockAllShards(shard_locks, hold);
   // The client-visible pause of a pauseless pass is whichever critical
   // section was longest: a single shard publish or the validated apply.
   const uint64_t pause_ns = std::max(max_publish_ns, apply_ns);
@@ -1422,17 +1110,7 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
     pause_times_ns_.push_back(pause_ns);
     detection_lag_ns_.push_back(lag_ns);
   }
-  const uint64_t budget_ns = EffectivePauseBudgetNs();
-  if (budget_ns != 0 && pause_ns > budget_ns) {
-    const uint32_t passes = options_.robustness.degradation.degraded_passes;
-    degraded_remaining_.store(passes, std::memory_order_relaxed);
-    obs::Event event;
-    event.kind = obs::EventKind::kDegraded;
-    event.a = passes;
-    event.b = pause_ns / 1000;               // the offending pause, µs
-    event.value = static_cast<double>(budget_ns) / 1000.0;  // budget, µs
-    EmitStandalone(std::move(event));
-  }
+  DegradeIfOverBudget(pause_ns);
   // Pass-span close contract: a = cycles actually resolved (detected
   // minus stamp-rejected — a rejected decision resolves nothing and is
   // re-derived next pass), b = the full pass cost in nanoseconds.
@@ -1505,12 +1183,7 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
     }
   }
   const uint64_t pause_ns = static_cast<uint64_t>(pause.ElapsedNanos());
-  const uint64_t hold_ns = static_cast<uint64_t>(hold.ElapsedNanos());
-  for (auto& shard : shards_) {
-    shard->hold_ns += hold_ns;
-    shard->cv.notify_all();
-  }
-  shard_locks.clear();
+  UnlockAllShards(shard_locks, hold);
   {
     // A degraded sweep is not a detection pass: its pause lands in its
     // own series so pause percentiles of full passes stay uncontaminated.
@@ -1605,7 +1278,7 @@ void ConcurrentLockService::DetectorLoop() {
       break;
     }
     lk.unlock();
-    RunPeriodicPass();
+    RunDetectionPass();
     lk.lock();
   }
 }
@@ -1700,10 +1373,6 @@ void ConcurrentLockService::UpdateSchedulerAfterPass(
 }
 
 Result<TxnState> ConcurrentLockService::State(lock::TransactionId tid) const {
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return tm_->State(tid);
-  }
   std::scoped_lock tl(txn_mu_);
   auto it = txns_.find(tid);
   if (it == txns_.end()) {
@@ -1713,19 +1382,11 @@ Result<TxnState> ConcurrentLockService::State(lock::TransactionId tid) const {
 }
 
 size_t ConcurrentLockService::live_transactions() const {
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return tm_->NumLive();
-  }
   std::scoped_lock tl(txn_mu_);
   return live_txns_;
 }
 
 Result<bool> ConcurrentLockService::HasDeadlock() {
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return core::HwTwbg::Build(tm_->lock_manager().table()).HasCycle();
-  }
   if (shards_.size() != 1) {
     return Status::FailedPrecondition(
         "HasDeadlock requires num_shards == 1 (merged multi-shard graph "
@@ -1741,19 +1402,11 @@ Result<std::string> ConcurrentLockService::RenderView(ServiceView view) {
   // Stop the world so the rendering is a consistent snapshot, then build
   // the view off the (single) live table.  The formats deliberately match
   // core::ScriptRunner's commands — see ServiceView.
-  std::unique_lock<std::mutex> cont_lock(mu_, std::defer_lock);
-  std::vector<std::unique_lock<std::mutex>> shard_locks;
   common::Stopwatch hold;
-  if (mode_ == DetectionMode::kContinuous) {
-    cont_lock.lock();
-  } else {
-    shard_locks = LockShards(~uint64_t{0}, hold);
-  }
+  std::vector<std::unique_lock<std::mutex>> shard_locks =
+      LockShards(~uint64_t{0}, hold);
 
   if (view == ServiceView::kTable) {
-    if (mode_ == DetectionMode::kContinuous) {
-      return tm_->lock_manager().table().ToString();
-    }
     if (shards_.size() == 1) return shards_[0]->lm.table().ToString();
     std::string out;
     for (size_t s = 0; s < shards_.size(); ++s) {
@@ -1764,13 +1417,6 @@ Result<std::string> ConcurrentLockService::RenderView(ServiceView view) {
   }
   if (view == ServiceView::kCosts) {
     std::string out;
-    if (mode_ == DetectionMode::kContinuous) {
-      for (lock::TransactionId tid :
-           tm_->lock_manager().KnownTransactions()) {
-        out += common::Format("T%u: %.2f\n", tid, tm_->costs().Get(tid));
-      }
-      return out;
-    }
     std::scoped_lock tl(txn_mu_);
     // Known to the lock table (shard order), as ScriptRunner prints.
     for (const auto& shard : shards_) {
@@ -1782,16 +1428,12 @@ Result<std::string> ConcurrentLockService::RenderView(ServiceView view) {
   }
 
   // The graph-derived views need the whole wait-for state in one table.
-  const lock::LockTable* table = nullptr;
-  if (mode_ == DetectionMode::kContinuous) {
-    table = &tm_->lock_manager().table();
-  } else if (shards_.size() == 1) {
-    table = &shards_[0]->lm.table();
-  } else {
+  if (shards_.size() != 1) {
     return Status::FailedPrecondition(
         "graph views require num_shards == 1 (merged multi-shard graph "
         "construction is not implemented)");
   }
+  const lock::LockTable* table = &shards_[0]->lm.table();
   switch (view) {
     case ServiceView::kGraph:
       return core::HwTwbg::Build(*table).ToString();
@@ -1829,23 +1471,13 @@ Result<std::string> ConcurrentLockService::RenderView(ServiceView view) {
 }
 
 size_t ConcurrentLockService::deadlock_victims() const {
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cont_deadlock_victims_;
-  }
   std::scoped_lock tl(txn_mu_);
   return deadlock_victims_;
 }
 
-size_t ConcurrentLockService::num_shards() const {
-  return mode_ == DetectionMode::kContinuous ? 1 : shards_.size();
-}
-
 ShardStats ConcurrentLockService::shard_stats(size_t shard) const {
   ShardStats stats;
-  if (mode_ == DetectionMode::kContinuous || shard >= shards_.size()) {
-    return stats;
-  }
+  if (shard >= shards_.size()) return stats;
   Shard& s = *shards_[shard];
   std::lock_guard<std::mutex> sl(s.mu);
   stats.acquire_waits = s.acquire_waits;
@@ -1875,10 +1507,6 @@ std::vector<uint64_t> ConcurrentLockService::detection_lag_ns() const {
 }
 
 Status ConcurrentLockService::CheckInvariants(bool deep) {
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return tm_->CheckInvariants();
-  }
   // Stop the world so the cross-shard picture is consistent.
   common::Stopwatch hold;
   std::vector<std::unique_lock<std::mutex>> shard_locks =
@@ -1934,10 +1562,6 @@ Status ConcurrentLockService::CheckInvariants(bool deep) {
 
 std::string ConcurrentLockService::DebugDump() {
   std::string out;
-  if (mode_ == DetectionMode::kContinuous) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return tm_->lock_manager().table().ToString();
-  }
   common::Stopwatch hold;
   std::vector<std::unique_lock<std::mutex>> shard_locks =
       LockShards(~uint64_t{0}, hold);

@@ -1,44 +1,43 @@
 // Copyright (c) the twbg authors. Licensed under the MIT license.
 //
-// Thread-safe strict-2PL lock service.  Two engines behind one API:
+// Thread-safe strict-2PL lock service with periodic deadlock detection
+// and resolution (§5).  The lock table is striped into `num_shards`
+// hash-sharded partitions, each with its own mutex, LockManager (own
+// version-stamp domain and mutation journal) and contention counters.
+// Acquires touch exactly one shard; commits/aborts lock only the shards
+// the transaction touched.  Deadlocks are resolved by the periodic pass —
+// run by a dedicated detector thread every `detection_period`, or by
+// explicit RunDetectionPass() calls.  Each pass stamps a new snapshot
+// epoch.  (The continuous companion algorithm is TransactionManager's:
+// a sequential engine, which the differential suites compare against.)
+// Two pass strategies (SnapshotStrategy):
 //
-//   * kContinuous (the default, and the only mode of the legacy
-//     constructor): one mutex around a sequential TransactionManager with
-//     the continuous companion algorithm — every deadlock is resolved
-//     inside the request that would have completed the cycle, so no
-//     watcher thread is needed and no wait can hang.
+//   - kEpochDelta (the default, "pauseless"): each shard publishes its
+//     mutation-journal delta plus a slim mirror of its wait map into a
+//     detector-owned epoch mirror (txn/epoch_snapshot.h) under its own
+//     mutex — an O(delta + active transactions) pause, independent of
+//     table size — and the component-parallel Step 1/2 walk runs over the
+//     sealed mirrors while client traffic proceeds on the live shards.
+//     Resolution applies as a *validated change-list*: every decision
+//     carries the version stamps of the evidence it was derived from
+//     (core::VictimDecision::evidence) — every resource on its cycle,
+//     which includes the resource a TDR-2 decision repositions; the apply
+//     phase re-checks the stamps under the shard locks and drops — as
+//     kResolutionRejected, retried next pass — any decision whose
+//     evidence moved between seal and apply.  A validated decision's
+//     evidence is byte-identical live and sealed, so the cycle it
+//     resolves exists at apply time: no phantom victim is possible, and a
+//     persistent deadlock (which cannot mutate: every member is blocked)
+//     validates on the next pass at the latest.
+//   - kStopTheWorld: the pass briefly stops the world (all shard locks),
+//     drains the journals into the per-shard incremental graph caches and
+//     detects in place.  The event stream recorded under a pass is a true
+//     linearization suitable for replay oracles, at the cost of pauses
+//     that grow with table size.
 //
-//   * kPeriodic: the lock table is striped into `num_shards` hash-sharded
-//     partitions, each with its own mutex, LockManager (own version-stamp
-//     domain and mutation journal) and contention counters.  Acquires
-//     touch exactly one shard; commits/aborts lock only the shards the
-//     transaction touched.  Deadlocks are resolved by the periodic pass
-//     (§5) — run by a dedicated detector thread every `detection_period`,
-//     or by explicit RunDetectionPass() calls.  Each pass stamps a new
-//     snapshot epoch.  Two pass strategies (SnapshotStrategy):
-//
-//       - kEpochDelta (the default, "pauseless"): each shard publishes
-//         its mutation-journal delta plus a slim mirror of its wait map
-//         into a detector-owned epoch mirror (txn/epoch_snapshot.h) under
-//         its own mutex — an O(delta + active transactions) pause,
-//         independent of table size — and the component-parallel Step 1/2
-//         walk runs over the sealed mirrors while client traffic proceeds
-//         on the live shards.  Resolution applies as a *validated
-//         change-list*: every decision carries the version stamps of the
-//         evidence it was derived from (core::VictimDecision::evidence);
-//         the apply phase re-checks the stamps under the shard locks and
-//         drops — as kResolutionRejected, retried next pass — any
-//         decision whose evidence moved between seal and apply.  A
-//         validated decision's evidence is byte-identical live and
-//         sealed, so the cycle it resolves exists at apply time: no
-//         phantom victim is possible, and a persistent deadlock (which
-//         cannot mutate: every member is blocked) validates on the next
-//         pass at the latest.
-//       - kStopTheWorld: the pass briefly stops the world (all shard
-//         locks), drains the journals into the per-shard incremental
-//         graph caches and detects in place.  The event stream recorded
-//         under a pass is a true linearization suitable for replay
-//         oracles, at the cost of pauses that grow with table size.
+// With no detector thread (detection_period == 0, the default) nothing
+// resolves a deadlock until the caller runs RunDetectionPass; threaded
+// callers that can deadlock configure a detection_period.
 //
 // Robustness layer (optional, all off by default; see docs/ROBUSTNESS.md):
 //
@@ -75,9 +74,9 @@
 // linearization of the lock-state history (the replay-parity stress suite
 // depends on this).  Sink callbacks must not call back into the service.
 //
-// Wait-span caveat: in periodic mode wait-span ids are per-shard domains
-// (each shard's LockManager numbers its own spans), so span values are
-// not comparable with a single-manager run; kinds/tids/rids/counters are.
+// Wait-span caveat: wait-span ids are per-shard domains (each shard's
+// LockManager numbers its own spans), so span values are not comparable
+// with a single-manager run; kinds/tids/rids/counters are.
 
 #ifndef TWBG_TXN_CONCURRENT_SERVICE_H_
 #define TWBG_TXN_CONCURRENT_SERVICE_H_
@@ -105,7 +104,7 @@
 
 namespace twbg::txn {
 
-/// How a periodic pass observes the sharded lock state (see the file
+/// How a detection pass observes the sharded lock state (see the file
 /// comment for the full protocol descriptions).
 enum class SnapshotStrategy {
   /// Pauseless: per-shard O(delta) journal publish into a sealed epoch
@@ -121,30 +120,28 @@ enum class SnapshotStrategy {
 struct ConcurrentServiceOptions {
   /// Lock-table partitions, in [1, 64].  Resources are hash-assigned to
   /// shards; more shards mean less mutex contention between independent
-  /// acquires.  Must be 1 in kContinuous mode.
+  /// acquires.
   size_t num_shards = 1;
-  /// kContinuous resolves deadlocks inline on every block (single-mutex
-  /// engine); kPeriodic resolves them in periodic passes over the sharded
-  /// engine (see snapshot_strategy for how a pass observes the shards).
-  DetectionMode detection_mode = DetectionMode::kContinuous;
-  /// How the periodic pass snapshots the shards (kPeriodic only; ignored
-  /// in kContinuous mode).
+  /// Deprecated and scheduled for removal: the service has a single,
+  /// periodic engine, so Validate accepts only kPeriodic (the default).
+  /// The continuous engine is TransactionManager's.
+  DetectionMode detection_mode = DetectionMode::kPeriodic;
+  /// How the periodic pass snapshots the shards.
   SnapshotStrategy snapshot_strategy = SnapshotStrategy::kEpochDelta;
-  /// Period of the dedicated detector thread (kPeriodic only); zero means
-  /// no thread — the caller drives RunDetectionPass itself.  With a
-  /// non-fixed `scheduler` policy this is only the *initial* period; the
-  /// controller retunes it after every full pass (see
-  /// current_detection_period()).
+  /// Period of the dedicated detector thread; zero means no thread — the
+  /// caller drives RunDetectionPass itself.  With a non-fixed `scheduler`
+  /// policy this is only the *initial* period; the controller retunes it
+  /// after every full pass (see current_detection_period()).
   std::chrono::microseconds detection_period{0};
   /// Closed-loop scheduling of the detector thread (docs/TUNING.md).
   /// Units are MICROSECONDS (min_period/max_period bound the retuned
   /// period; pass costs are fed to the controller in µs too).  The default
   /// kFixedPeriod policy never moves the period — byte-identical to the
   /// pre-scheduler service, so adaptive scheduling is strictly opt-in.
-  /// A non-fixed policy requires kPeriodic mode and detection_period > 0.
+  /// A non-fixed policy requires detection_period > 0.
   sched::SchedulerOptions scheduler;
-  /// Worker threads for the parallel pass (kPeriodic only); zero runs the
-  /// pass entirely on the invoking thread.
+  /// Worker threads for the parallel pass; zero runs the pass entirely on
+  /// the invoking thread.
   size_t detection_threads = 0;
   /// Victim-cost metric, as in TransactionManagerOptions.
   CostPolicy cost_policy = CostPolicy::kLocksHeld;
@@ -156,13 +153,11 @@ struct ConcurrentServiceOptions {
   /// Causal span tracer (not owned; may be null).  Attaching one
   /// serializes the service exactly like a bus: every span call happens
   /// under the observability mutex, satisfying the tracer's single-writer
-  /// contract.  In kPeriodic mode the service opens txn spans at Begin /
-  /// Terminate, the shard lock managers open/close the wait spans, and
-  /// each pass emits a kPass span with kPublish / kApply / kResolution
-  /// children (pauseless) — the engine's own detector tracer stays unset
-  /// because the component-parallel walk runs on worker threads.  In
-  /// kContinuous mode the tracer is forwarded to the inner manager's
-  /// sequential detector (pass / step / resolution spans).  Required when
+  /// contract.  The service opens txn spans at Begin / Terminate, the
+  /// shard lock managers open/close the wait spans, and each pass emits a
+  /// kPass span with kPublish / kApply / kResolution children (pauseless)
+  /// — the engine's own detector tracer stays unset because the
+  /// component-parallel walk runs on worker threads.  Required when
   /// scheduler.use_span_estimates is set.
   obs::SpanTracer* span_tracer = nullptr;
   /// Robustness knobs.  Deadline units are MICROSECONDS here (wall
@@ -179,9 +174,9 @@ struct ConcurrentServiceOptions {
   std::function<void()> post_seal_hook;
 
   /// Rejects out-of-domain combinations — num_shards outside [1, 64],
-  /// kContinuous combined with sharding / a detection period / detection
-  /// threads, scheduler.use_span_estimates without a span tracer, bad
-  /// robustness knobs.
+  /// detection_mode other than kPeriodic, an adaptive scheduler without a
+  /// detector thread, scheduler.use_span_estimates without a span tracer,
+  /// bad robustness knobs.
   Status Validate() const;
 };
 
@@ -208,7 +203,7 @@ enum class ServiceView {
   kCosts,
 };
 
-/// Cumulative per-shard contention counters (kPeriodic mode).
+/// Cumulative per-shard contention counters.
 struct ShardStats {
   /// Lock attempts that found the shard mutex already held.
   uint64_t acquire_waits = 0;
@@ -218,14 +213,15 @@ struct ShardStats {
   uint64_t hold_ns = 0;
 };
 
-/// Thread-safe strict-2PL lock service with deadlock resolution.  See the
-/// file comment for the two engines and the locking discipline.
+/// Thread-safe strict-2PL lock service with periodic deadlock resolution.
+/// See the file comment for the pass strategies and the locking
+/// discipline.
 class ConcurrentLockService {
  public:
   /// Validates `options` (ConcurrentServiceOptions::Validate) and builds
   /// the service; invalid combinations are rejected with InvalidArgument
-  /// rather than silently coerced.  The only way to construct a service —
-  /// the legacy TransactionManagerOptions constructor shim was removed.
+  /// rather than silently coerced.  Default options give a one-shard
+  /// service with no detector thread (passes run on RunDetectionPass).
   static Result<std::unique_ptr<ConcurrentLockService>> Create(
       ConcurrentServiceOptions options);
 
@@ -255,8 +251,8 @@ class ConcurrentLockService {
   Status AcquireBlocking(lock::TransactionId tid, lock::ResourceId rid,
                          lock::LockMode mode);
 
-  /// Non-blocking acquire (kPeriodic mode only): starts the request and
-  /// returns its immediate outcome instead of parking the calling thread.
+  /// Non-blocking acquire: starts the request and returns its immediate
+  /// outcome instead of parking the calling thread.
   ///   kGranted      lock held;
   ///   kAlreadyHeld  `tid` already holds `mode` (or stronger) on `rid`;
   ///   kBlocked      queued; the transaction is kBlocked until a release
@@ -273,17 +269,17 @@ class ConcurrentLockService {
                                             lock::ResourceId rid,
                                             lock::LockMode mode);
 
-  /// Pins `tid`'s abort cost to `cost` (kPeriodic mode only): the value
-  /// replaces the policy-computed cost and is no longer refreshed on
-  /// subsequent operations, mirroring ScriptRunner's `cost` command.
-  /// kFailedPrecondition for a terminated transaction or the continuous
-  /// engine; kNotFound for an unknown one.
+  /// Pins `tid`'s abort cost to `cost`: the value replaces the
+  /// policy-computed cost and is no longer refreshed on subsequent
+  /// operations, mirroring ScriptRunner's `cost` command.
+  /// kFailedPrecondition for a terminated transaction; kNotFound for an
+  /// unknown one.
   Status SetCost(lock::TransactionId tid, double cost);
 
   /// True when the current wait-for state contains a cycle (H/W-TWBG
-  /// HasCycle over the live table).  Requires num_shards == 1 (the
-  /// continuous engine qualifies); kFailedPrecondition otherwise —
-  /// merged multi-shard graph construction is ROADMAP item 2.
+  /// HasCycle over the live table).  Requires num_shards == 1;
+  /// kFailedPrecondition otherwise — merged multi-shard graph
+  /// construction is not implemented.
   Result<bool> HasDeadlock();
 
   /// Renders `view` of the current state (formats documented on
@@ -309,31 +305,28 @@ class ConcurrentLockService {
   size_t deadlock_victims() const;
 
   /// Runs one detection-resolution pass now, on the calling thread, and
-  /// returns its report.  In kPeriodic mode this is the same pass the
-  /// detector thread runs (all shard locks held for its duration) — or,
-  /// while degraded, the timeout-resolver sweep; in kContinuous mode it
-  /// is a safety-net periodic pass over the inner manager.
+  /// returns its report: the same pass the detector thread runs — or,
+  /// while degraded, the timeout-resolver sweep.
   core::ResolutionReport RunDetectionPass();
 
   /// Number of completed periodic passes (the snapshot epoch).  Each pass
   /// observes — and leaves behind — a consistent cross-shard snapshot;
-  /// the epoch stamps which one.  Always 0 in kContinuous mode.
+  /// the epoch stamps which one.
   uint64_t snapshot_epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }
 
-  /// Number of lock-table shards (1 in kContinuous mode).
-  size_t num_shards() const;
+  /// Number of lock-table shards.
+  size_t num_shards() const { return shards_.size(); }
 
-  /// Contention counters of shard `shard` (kPeriodic mode).
+  /// Contention counters of shard `shard` (zeros when out of range).
   ShardStats shard_stats(size_t shard) const;
 
   /// Client-visible pause of every completed *full* detection pass,
-  /// nanoseconds, in pass order (kPeriodic mode; empty otherwise).  For
-  /// kEpochDelta this is max(longest shard publish, apply critical
-  /// section); for kStopTheWorld it is the whole pass.  Degraded
-  /// timeout-sweep passes are recorded separately in
-  /// sweep_pause_times_ns().
+  /// nanoseconds, in pass order.  For kEpochDelta this is max(longest
+  /// shard publish, apply critical section); for kStopTheWorld it is the
+  /// whole pass.  Degraded timeout-sweep passes are recorded separately
+  /// in sweep_pause_times_ns().
   std::vector<uint64_t> pause_times_ns() const;
 
   /// Every individual shard publish pause, nanoseconds, in capture order
@@ -425,7 +418,7 @@ class ConcurrentLockService {
     uint64_t hold_ns = 0;
   };
 
-  // Per-transaction record of the sharded engine (guarded by txn_mu_;
+  // Per-transaction record (guarded by txn_mu_;
   // `state` is additionally atomic because waiter wake predicates read it
   // under the shard mutex only).
   struct TxnRecord {
@@ -459,12 +452,22 @@ class ConcurrentLockService {
   std::vector<std::unique_lock<std::mutex>> LockShards(
       uint64_t mask, common::Stopwatch& hold);
 
-  // Sharded-engine operation bodies (mode_ == kPeriodic).
-  Result<lock::TransactionId> PeriodicBegin();
-  Status PeriodicAcquire(lock::TransactionId tid, lock::ResourceId rid,
-                         lock::LockMode mode);
-  Status PeriodicTerminate(lock::TransactionId tid, bool commit);
-  core::ResolutionReport RunPeriodicPass();
+  // Locks one shard, maintaining its contention counters.
+  std::unique_lock<std::mutex> LockShard(Shard& shard);
+
+  // The registration half shared by AcquireBlocking and AcquireAsync,
+  // with shard `shard_index`'s mutex held: validates the transaction,
+  // records the routing, applies the admission watermark and runs the
+  // lock-manager request with the state/cost updates.  On success `*rec`
+  // is tid's record.
+  Result<lock::RequestOutcome> RequestLocked(lock::TransactionId tid,
+                                             lock::ResourceId rid,
+                                             lock::LockMode mode,
+                                             size_t shard_index,
+                                             TxnRecord** rec);
+
+  // Commit/Abort body: locks the transaction's shards and releases.
+  Status Terminate(lock::TransactionId tid, bool commit);
   // The kStopTheWorld pass body: all shard locks for the whole pass.
   core::ResolutionReport RunStopTheWorldPass();
   // The kEpochDelta pass body: publish -> seal -> detect -> validated
@@ -474,16 +477,11 @@ class ConcurrentLockService {
   // `sweep_patience` consecutive sweeps.  Same locks as the full pass.
   core::ResolutionReport RunTimeoutSweep();
 
-  // Continuous-engine bodies (mode_ == kContinuous).
-  Status ContinuousAcquire(lock::TransactionId tid, lock::ResourceId rid,
-                           lock::LockMode mode);
-
-  // Deadline-timeout body of PeriodicAcquire: cancels tid's wait (or
+  // Deadline-timeout body of AcquireBlocking: cancels tid's wait (or
   // reports the grant/abort that raced in).  Runs with the shard mutex
   // held; takes txn_mu_/obs_mu_ internally.  Sets `escalate` when the
   // abort-after-N policy fires (caller aborts after unlocking).
-  Status CancelPeriodicWait(lock::TransactionId tid, Shard& shard,
-                            bool* escalate);
+  Status CancelWait(lock::TransactionId tid, Shard& shard, bool* escalate);
 
   // Releases every lock/queue position of `tid` across the shards in
   // `mask` in global ascending-rid order, reactivating granted waiters'
@@ -506,10 +504,21 @@ class ConcurrentLockService {
   // Emits one kShardContention per shard (pass locks held, bus active).
   void PublishShardStatsLocked();
 
+  // Ends a pass that held every shard: charges the hold time to each
+  // shard, wakes every parked waiter and releases the locks.
+  void UnlockAllShards(std::vector<std::unique_lock<std::mutex>>& locks,
+                       const common::Stopwatch& hold);
+
+  // Graceful degradation: a full pass whose client-visible pause blew the
+  // (period-scaled) budget switches the next degraded_passes scheduled
+  // passes to the timeout-resolver sweep.  No service lock held.
+  void DegradeIfOverBudget(uint64_t pause_ns);
+
   // Recomputes `tid`'s abort cost per the policy (txn_mu_ held).
   void RefreshCostLocked(lock::TransactionId tid, const TxnRecord& rec);
 
-  // Emits `event` under obs_mu_ alone (no other service lock held).
+  // Emits `event` under obs_mu_, the innermost lock: callers may hold
+  // shard or transaction-table locks, never obs_mu_ itself.
   void EmitStandalone(obs::Event event);
 
   // True when a bus or a span tracer is attached: obs_mu_ must be held
@@ -542,18 +551,7 @@ class ConcurrentLockService {
   void DetectorLoop();
 
   ConcurrentServiceOptions options_;
-  DetectionMode mode_;
 
-  // -- continuous engine (mode_ == kContinuous) --
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::unique_ptr<TransactionManager> tm_;
-  size_t cont_deadlock_victims_ = 0;
-  // Per-transaction deadline-expiry counts (the inner manager's clock is
-  // unused; the service implements wall-clock deadlines itself).
-  std::map<lock::TransactionId, uint32_t> cont_expiries_;
-
-  // -- sharded periodic engine (mode_ == kPeriodic) --
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // Transaction table; guards txns_, costs_, next_tid_, next_ts_,

@@ -50,7 +50,6 @@ std::string ReadFile(const std::filesystem::path& path) {
 
 std::unique_ptr<ConcurrentLockService> FreshService() {
   ConcurrentServiceOptions options;
-  options.detection_mode = DetectionMode::kPeriodic;
   options.num_shards = 1;
   auto service = ConcurrentLockService::Create(options);
   EXPECT_TRUE(service.ok()) << service.status().ToString();

@@ -1,7 +1,7 @@
 // Copyright (c) the twbg authors. Licensed under the MIT license.
 //
-// Tests for the thread-safe service wrapper: real threads, real blocking
-// waits, inline deadlock resolution — no run may hang.
+// Tests for the thread-safe lock service: real threads, real blocking
+// waits, deadlocks resolved by the detector thread — no run may hang.
 
 #include "txn/concurrent_service.h"
 
@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -17,10 +19,33 @@ namespace {
 
 using enum lock::LockMode;
 
-TEST(ConcurrentServiceTest, SingleThreadedBasics) {
-  auto owned = ConcurrentLockService::Create(ConcurrentServiceOptions{});
-  ASSERT_TRUE(owned.ok());
-  ConcurrentLockService& service = **owned;
+// The threaded suites run against one and several shards, with a detector
+// thread: nothing else resolves the deadlocks they provoke.  The cost
+// policy is the default kLocksHeld, under which crossing transfers tie;
+// CrossingTransfersResolveWithoutHanging checks that the tie-break lets
+// retried victims through instead of re-forming the cycle every period.
+class ConcurrentServiceTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    ConcurrentServiceOptions options;
+    options.num_shards = GetParam();
+    options.detection_period = std::chrono::microseconds(500);
+    auto created = ConcurrentLockService::Create(options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    owned_ = std::move(*created);
+  }
+
+  ConcurrentLockService& service() { return *owned_; }
+
+ private:
+  std::unique_ptr<ConcurrentLockService> owned_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Shards, ConcurrentServiceTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
+
+TEST_P(ConcurrentServiceTest, SingleThreadedBasics) {
+  ConcurrentLockService& service = this->service();
   lock::TransactionId t = *service.Begin();
   EXPECT_TRUE(service.AcquireBlocking(t, 1, kX).ok());
   EXPECT_TRUE(service.AcquireBlocking(t, 1, kX).ok());  // covered: no-op
@@ -29,10 +54,8 @@ TEST(ConcurrentServiceTest, SingleThreadedBasics) {
   EXPECT_TRUE(service.Commit(t).IsFailedPrecondition());
 }
 
-TEST(ConcurrentServiceTest, WaiterIsWokenByCommit) {
-  auto owned = ConcurrentLockService::Create(ConcurrentServiceOptions{});
-  ASSERT_TRUE(owned.ok());
-  ConcurrentLockService& service = **owned;
+TEST_P(ConcurrentServiceTest, WaiterIsWokenByCommit) {
+  ConcurrentLockService& service = this->service();
   lock::TransactionId holder = *service.Begin();
   ASSERT_TRUE(service.AcquireBlocking(holder, 1, kX).ok());
   std::atomic<bool> granted{false};
@@ -51,12 +74,10 @@ TEST(ConcurrentServiceTest, WaiterIsWokenByCommit) {
   EXPECT_TRUE(granted.load());
 }
 
-TEST(ConcurrentServiceTest, DeterministicCrossDeadlockResolvedInline) {
+TEST_P(ConcurrentServiceTest, DeterministicCrossDeadlockResolved) {
   // Both threads take their first lock, rendezvous, then cross: a certain
   // deadlock.  Exactly one becomes the victim; the other completes.
-  auto owned = ConcurrentLockService::Create(ConcurrentServiceOptions{});
-  ASSERT_TRUE(owned.ok());
-  ConcurrentLockService& service = **owned;
+  ConcurrentLockService& service = this->service();
   std::barrier rendezvous(2);
   std::atomic<int> victims{0};
   std::atomic<int> commits{0};
@@ -82,12 +103,11 @@ TEST(ConcurrentServiceTest, DeterministicCrossDeadlockResolvedInline) {
   EXPECT_EQ(service.deadlock_victims(), 1u);
 }
 
-TEST(ConcurrentServiceTest, CrossingTransfersResolveWithoutHanging) {
-  auto owned = ConcurrentLockService::Create(ConcurrentServiceOptions{});
-  ASSERT_TRUE(owned.ok());
-  ConcurrentLockService& service = **owned;
+TEST_P(ConcurrentServiceTest, CrossingTransfersResolveWithoutHanging) {
+  ConcurrentLockService& service = this->service();
   constexpr int kThreads = 4;
   constexpr int kTransfersPerThread = 50;
+  constexpr int kMaxAttempts = 1000;
   std::atomic<int> committed{0};
   std::atomic<int> victim_retries{0};
   std::vector<std::thread> threads;
@@ -100,7 +120,9 @@ TEST(ConcurrentServiceTest, CrossingTransfersResolveWithoutHanging) {
       const lock::ResourceId a = (worker % 2 == 0) ? 1 : 2;
       const lock::ResourceId b = (worker % 2 == 0) ? 2 : 1;
       for (int i = 0; i < kTransfersPerThread; ++i) {
-        for (;;) {
+        for (int attempt = 1;; ++attempt) {
+          // A starving transfer fails here instead of hanging the suite.
+          ASSERT_LE(attempt, kMaxAttempts) << "transfer " << i << " starved";
           lock::TransactionId t = *service.Begin();
           Status first = service.AcquireBlocking(t, a, kX);
           if (first.IsAborted()) {
@@ -132,10 +154,8 @@ TEST(ConcurrentServiceTest, CrossingTransfersResolveWithoutHanging) {
             service.deadlock_victims());
 }
 
-TEST(ConcurrentServiceTest, ManyThreadsManyResources) {
-  auto owned = ConcurrentLockService::Create(ConcurrentServiceOptions{});
-  ASSERT_TRUE(owned.ok());
-  ConcurrentLockService& service = **owned;
+TEST_P(ConcurrentServiceTest, ManyThreadsManyResources) {
+  ConcurrentLockService& service = this->service();
   constexpr int kThreads = 8;
   std::atomic<int> committed{0};
   std::vector<std::thread> threads;
@@ -179,43 +199,28 @@ TEST(ConcurrentServiceCreateTest, RejectsUnsupportedCombinations) {
   {
     ConcurrentServiceOptions options;
     options.num_shards = 65;
-    options.detection_mode = DetectionMode::kPeriodic;
     EXPECT_TRUE(ConcurrentLockService::Create(options)
                     .status().IsInvalidArgument());
   }
   {
-    // The historical silent coercion is now an explicit error: the
-    // continuous engine has no shards, no detector thread, no pool.
+    // Deprecated field: the service has no continuous engine.
     ConcurrentServiceOptions options;
-    options.num_shards = 4;
     options.detection_mode = DetectionMode::kContinuous;
     EXPECT_TRUE(ConcurrentLockService::Create(options)
                     .status().IsInvalidArgument());
   }
   {
-    ConcurrentServiceOptions options;
-    options.detection_period = std::chrono::microseconds(100);
-    EXPECT_TRUE(ConcurrentLockService::Create(options)
-                    .status().IsInvalidArgument());
-  }
-  {
-    ConcurrentServiceOptions options;
-    options.detection_threads = 2;
-    EXPECT_TRUE(ConcurrentLockService::Create(options)
-                    .status().IsInvalidArgument());
-  }
-  {
-    ConcurrentServiceOptions options;  // defaults: continuous, one shard
+    ConcurrentServiceOptions options;  // defaults: one shard, no thread
     auto service = ConcurrentLockService::Create(options);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     EXPECT_EQ((*service)->num_shards(), 1u);
+    EXPECT_EQ((*service)->current_detection_period_us(), 0u);
   }
 }
 
 TEST(ConcurrentServiceCreateTest, PeriodicShardedBasics) {
   ConcurrentServiceOptions options;
   options.num_shards = 4;
-  options.detection_mode = DetectionMode::kPeriodic;
   auto service = ConcurrentLockService::Create(options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   ConcurrentLockService& s = **service;
@@ -252,12 +257,12 @@ TEST(ConcurrentServiceCreateTest, PeriodicShardedBasics) {
 }
 
 TEST(ConcurrentServiceCreateTest, PeriodicCrossDeadlockResolvedByThread) {
-  // Same certain cross-deadlock as the continuous test above, but nobody
-  // calls RunDetectionPass: the dedicated detector thread must find and
-  // resolve it, or both workers hang forever.
+  // Same certain cross-deadlock as DeterministicCrossDeadlockResolved,
+  // on eight shards with a parallel pass: nobody calls RunDetectionPass,
+  // so the detector thread must find and resolve it, or both workers
+  // hang forever.
   ConcurrentServiceOptions options;
   options.num_shards = 8;
-  options.detection_mode = DetectionMode::kPeriodic;
   options.detection_period = std::chrono::microseconds(500);
   options.detection_threads = 2;
   auto service = ConcurrentLockService::Create(options);

@@ -211,7 +211,6 @@ void RunStressAndReplay(const WorkloadConfig& config) {
 
   ConcurrentServiceOptions options;
   options.num_shards = config.num_shards;
-  options.detection_mode = DetectionMode::kPeriodic;
   // The replay oracle depends on the stop-the-world linearization: a
   // pass's events must describe the live state at their stream position.
   // A pauseless pass detects over a sealed epoch that may trail the live
@@ -287,7 +286,6 @@ TEST(ConcurrentStressTest, CrossingDeadlocksReplayWithVictims) {
   bus.Subscribe(&sink);
   ConcurrentServiceOptions options;
   options.num_shards = 4;
-  options.detection_mode = DetectionMode::kPeriodic;
   // Replay oracle: see RunStressAndReplay.
   options.snapshot_strategy = SnapshotStrategy::kStopTheWorld;
   options.detection_period = std::chrono::microseconds(300);
@@ -343,7 +341,6 @@ TEST(ConcurrentStressTest, CrossingDeadlocksReplayWithVictims) {
 TEST(ConcurrentStressTest, UnobservedShardedRunCompletes) {
   ConcurrentServiceOptions options;
   options.num_shards = 16;
-  options.detection_mode = DetectionMode::kPeriodic;
   options.detection_period = std::chrono::microseconds(500);
   options.detection_threads = 2;
   Result<std::unique_ptr<ConcurrentLockService>> service =

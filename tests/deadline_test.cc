@@ -278,35 +278,9 @@ TEST(TmDeadlineTest, SameTickDetectionThenExpiryResolvesOnce) {
 // Concurrent service: wall-clock deadlines (microseconds).
 // ---------------------------------------------------------------------
 
-TEST(ServiceDeadlineTest, ContinuousEngineExpiresAndRecovers) {
-  txn::ConcurrentServiceOptions options;  // kContinuous
-  options.robustness.deadline.lock_wait = 5'000;  // 5 ms
-  Result<std::unique_ptr<txn::ConcurrentLockService>> created =
-      txn::ConcurrentLockService::Create(options);
-  ASSERT_TRUE(created.ok());
-  txn::ConcurrentLockService& service = **created;
-
-  const TransactionId t1 = *service.Begin();
-  const TransactionId t2 = *service.Begin();
-  EXPECT_TRUE(service.AcquireBlocking(t1, 1, LockMode::kX).ok());
-
-  Status blocked = service.AcquireBlocking(t2, 1, LockMode::kX);
-  EXPECT_TRUE(blocked.IsDeadlineExceeded()) << blocked.ToString();
-  EXPECT_EQ(service.deadline_expiries(), 1u);
-  EXPECT_EQ(service.deadline_aborts(), 0u);
-  // The request was withdrawn; the transaction survived and can retry.
-  EXPECT_EQ(*service.State(t2), txn::TxnState::kActive);
-  EXPECT_TRUE(service.CheckInvariants().ok());
-
-  EXPECT_TRUE(service.Commit(t1).ok());
-  EXPECT_TRUE(service.AcquireBlocking(t2, 1, LockMode::kX).ok());
-  EXPECT_TRUE(service.Commit(t2).ok());
-}
-
 TEST(ServiceDeadlineTest, ShardedEngineExpiresAndEscalates) {
   txn::ConcurrentServiceOptions options;
   options.num_shards = 2;
-  options.detection_mode = txn::DetectionMode::kPeriodic;
   options.robustness.deadline.lock_wait = 5'000;  // 5 ms
   options.robustness.deadline.abort_after = 1;    // first expiry escalates
   Result<std::unique_ptr<txn::ConcurrentLockService>> created =
@@ -335,7 +309,6 @@ TEST(ServiceDeadlineTest, ExpiryVersusDetectionRaceIsSingleResolve) {
   for (int round = 0; round < 20; ++round) {
     txn::ConcurrentServiceOptions options;
     options.num_shards = 2;
-    options.detection_mode = txn::DetectionMode::kPeriodic;
     options.robustness.deadline.lock_wait = 500;  // 0.5 ms
     options.robustness.deadline.abort_after = 1;
     Result<std::unique_ptr<txn::ConcurrentLockService>> created =

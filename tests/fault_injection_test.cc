@@ -121,7 +121,6 @@ TEST(FaultDifferentialTest, ServiceConvergesUnderFaultPlans) {
                    << "seed=" << seed << " variant=" << variant);
       txn::ConcurrentServiceOptions options;
       options.num_shards = 1 + seed % 4;
-      options.detection_mode = txn::DetectionMode::kPeriodic;
       options.detection_period = std::chrono::microseconds(300);
       options.robustness.deadline.lock_wait = 1'000;  // 1 ms
       options.robustness.deadline.abort_after = 2;
@@ -223,7 +222,6 @@ TEST(DegradationTest, BudgetOverrunRunsSweepLadderThenRecovers) {
 
   txn::ConcurrentServiceOptions options;
   options.num_shards = 2;
-  options.detection_mode = txn::DetectionMode::kPeriodic;
   options.event_bus = &bus;
   options.robustness.degradation.pause_budget_ns = 1;  // every pass overruns
   options.robustness.degradation.degraded_passes = 2;
@@ -283,7 +281,6 @@ TEST(DegradationTest, BudgetOverrunRunsSweepLadderThenRecovers) {
 TEST(AcquireWithRetryTest, ExhaustedRetriesAbortTheTransaction) {
   txn::ConcurrentServiceOptions options;
   options.num_shards = 2;
-  options.detection_mode = txn::DetectionMode::kPeriodic;
   options.robustness.deadline.lock_wait = 2'000;  // 2 ms
   Result<std::unique_ptr<txn::ConcurrentLockService>> created =
       txn::ConcurrentLockService::Create(options);
@@ -315,7 +312,6 @@ TEST(AcquireWithRetryTest, ExhaustedRetriesAbortTheTransaction) {
 TEST(AcquireWithRetryTest, SucceedsOnceContentionClears) {
   txn::ConcurrentServiceOptions options;
   options.num_shards = 2;
-  options.detection_mode = txn::DetectionMode::kPeriodic;
   options.robustness.deadline.lock_wait = 1'000;  // 1 ms
   Result<std::unique_ptr<txn::ConcurrentLockService>> created =
       txn::ConcurrentLockService::Create(options);
@@ -351,7 +347,6 @@ TEST(AcquireWithRetryTest, SucceedsOnceContentionClears) {
 TEST(AdmissionTest, BeginIsShedAtMaxInflight) {
   txn::ConcurrentServiceOptions options;
   options.num_shards = 2;
-  options.detection_mode = txn::DetectionMode::kPeriodic;
   options.robustness.admission.max_inflight_txns = 1;
   Result<std::unique_ptr<txn::ConcurrentLockService>> created =
       txn::ConcurrentLockService::Create(options);
@@ -371,7 +366,6 @@ TEST(AdmissionTest, BeginIsShedAtMaxInflight) {
 TEST(AdmissionTest, AcquireIsShedAtQueueDepthWatermark) {
   txn::ConcurrentServiceOptions options;
   options.num_shards = 1;
-  options.detection_mode = txn::DetectionMode::kPeriodic;
   options.robustness.admission.queue_depth_watermark = 2;
   options.robustness.deadline.lock_wait = 50'000;  // waiters self-release
   Result<std::unique_ptr<txn::ConcurrentLockService>> created =

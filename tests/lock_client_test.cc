@@ -15,27 +15,14 @@
 namespace twbg::txn {
 namespace {
 
-ConcurrentServiceOptions PeriodicOptions() {
-  ConcurrentServiceOptions options;
-  options.detection_mode = DetectionMode::kPeriodic;
-  options.num_shards = 1;
-  return options;
-}
-
 std::unique_ptr<ConcurrentLockService> MakeService() {
-  auto service = ConcurrentLockService::Create(PeriodicOptions());
+  auto service = ConcurrentLockService::Create(ConcurrentServiceOptions{});
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   return std::move(*service);
 }
 
-TEST(InProcessClientTest, CreateRejectsNullAndContinuous) {
+TEST(InProcessClientTest, CreateRejectsNull) {
   EXPECT_TRUE(InProcessClient::Create(nullptr).status().IsInvalidArgument());
-
-  auto continuous = ConcurrentLockService::Create({});
-  ASSERT_TRUE(continuous.ok());
-  EXPECT_TRUE(InProcessClient::Create(continuous->get())
-                  .status()
-                  .IsInvalidArgument());
 }
 
 TEST(InProcessClientTest, GrantCommitLifecycle) {

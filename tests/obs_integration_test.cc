@@ -132,7 +132,6 @@ TEST(ObsIntegrationTest, EveryEventKindIsEmittedSomewhere) {
     bus.Subscribe(&sink);
     txn::ConcurrentServiceOptions options;
     options.num_shards = 4;
-    options.detection_mode = txn::DetectionMode::kPeriodic;
     options.event_bus = &bus;
     auto service = txn::ConcurrentLockService::Create(options);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -187,7 +186,6 @@ TEST(ObsIntegrationTest, EveryEventKindIsEmittedSomewhere) {
     bus.Subscribe(&sink);
     txn::ConcurrentServiceOptions options;
     options.num_shards = 2;
-    options.detection_mode = txn::DetectionMode::kPeriodic;
     options.event_bus = &bus;
     options.robustness.degradation.pause_budget_ns = 1;
     options.robustness.degradation.degraded_passes = 2;
@@ -212,7 +210,6 @@ TEST(ObsIntegrationTest, EveryEventKindIsEmittedSomewhere) {
     bus.Subscribe(&sink);
     txn::ConcurrentServiceOptions options;
     options.num_shards = 2;
-    options.detection_mode = txn::DetectionMode::kPeriodic;
     options.event_bus = &bus;
     txn::ConcurrentLockService* raw = nullptr;
     lock::TransactionId bystander = 0;

@@ -102,7 +102,6 @@ void BuildCyclesAndRunPass(ConcurrentLockService& s,
 ConcurrentServiceOptions QuiescedOptions(SnapshotStrategy strategy) {
   ConcurrentServiceOptions options;
   options.num_shards = 4;
-  options.detection_mode = DetectionMode::kPeriodic;
   options.snapshot_strategy = strategy;
   options.cost_policy = CostPolicy::kLocksHeld;
   return options;
@@ -207,7 +206,6 @@ TEST(ShardSnapshotTest, DetectPhaseMirrorMutationsAreRestagedFromLive) {
 TEST(PauselessServiceTest, StaleCommandIsRetriedByTheNextPass) {
   ConcurrentServiceOptions options;
   options.num_shards = 2;
-  options.detection_mode = DetectionMode::kPeriodic;
   ConcurrentLockService* raw = nullptr;
   lock::TransactionId bystander = 0;
   std::atomic<int> hook_fires{0};
@@ -274,7 +272,6 @@ TEST(PauselessServiceTest, StaleCommandIsRetriedByTheNextPass) {
 TEST(PauselessServiceTest, DissolvedCycleNeverYieldsAVictim) {
   ConcurrentServiceOptions options;
   options.num_shards = 2;
-  options.detection_mode = DetectionMode::kPeriodic;
   ConcurrentLockService* raw = nullptr;
   lock::TransactionId member = 0;
   std::atomic<int> hook_fires{0};
@@ -321,6 +318,75 @@ TEST(PauselessServiceTest, DissolvedCycleNeverYieldsAVictim) {
   EXPECT_EQ(survivor_commits.load(), 1);
 }
 
+// Builds the FIFO-stall deadlock that only TDR-2 resolves, on resource 0:
+// T1 holds R0 (S) with T2 (X) then T3 (S) queued behind it; T3 holds R2
+// (S) and T1 waits for R2 (X).  T3 is stalled purely by queue order, so
+// the cheapest resolution repositions T3 ahead of T2 on R0.  Returns
+// {T1, T2, T3}.
+std::vector<lock::TransactionId> BuildFifoStallOnR0(ConcurrentLockService& s) {
+  std::vector<lock::TransactionId> t;
+  for (int i = 0; i < 3; ++i) t.push_back(*s.Begin());
+  EXPECT_EQ(*s.AcquireAsync(t[0], 0, kS), lock::RequestOutcome::kGranted);
+  EXPECT_EQ(*s.AcquireAsync(t[2], 2, kS), lock::RequestOutcome::kGranted);
+  EXPECT_EQ(*s.AcquireAsync(t[1], 0, kX), lock::RequestOutcome::kBlocked);
+  EXPECT_EQ(*s.AcquireAsync(t[2], 0, kS), lock::RequestOutcome::kBlocked);
+  EXPECT_EQ(*s.AcquireAsync(t[0], 2, kX), lock::RequestOutcome::kBlocked);
+  return t;
+}
+
+// Resource 0 is a real resource: a TDR-2 decision that repositions it
+// must carry R0's stamp in its evidence.  Here the ST member T2 aborts in
+// the seal-to-apply window, which grants T3 on R0 — the live queue no
+// longer holds the junction, so the decision must be rejected rather than
+// replayed onto a queue it was not derived from.
+TEST(PauselessServiceTest, RepositionedResourceZeroIsValidated) {
+  {
+    // Without the window mutation the pass repositions R0, and the
+    // forensic record snapshots both queues on the cycle, R0's included.
+    ConcurrentServiceOptions plain;
+    plain.detector.collect_post_mortems = true;
+    auto service = ConcurrentLockService::Create(plain);
+    ASSERT_TRUE(service.ok());
+    BuildFifoStallOnR0(**service);
+    core::ResolutionReport report = (*service)->RunDetectionPass();
+    EXPECT_EQ(report.repositioned, std::vector<lock::ResourceId>{0});
+    EXPECT_TRUE(report.aborted.empty());
+    ASSERT_EQ(report.post_mortems.size(), 1u);
+    EXPECT_EQ(report.post_mortems[0].queue_snapshots.size(), 2u);
+  }
+  ConcurrentServiceOptions options;
+  ConcurrentLockService* raw = nullptr;
+  lock::TransactionId st_member = 0;
+  std::atomic<int> hook_fires{0};
+  options.post_seal_hook = [&] {
+    if (hook_fires.fetch_add(1) == 0) {
+      EXPECT_TRUE(raw->Abort(st_member).ok());
+    }
+  };
+  auto service = ConcurrentLockService::Create(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  raw = service->get();
+  const std::vector<lock::TransactionId> t = BuildFifoStallOnR0(*raw);
+  st_member = t[1];
+
+  core::ResolutionReport first = raw->RunDetectionPass();
+  EXPECT_EQ(first.cycles_detected, 1u);
+  EXPECT_EQ(first.rejected, 1u);
+  EXPECT_TRUE(first.repositioned.empty());
+  EXPECT_TRUE(first.aborted.empty());
+  // T2's abort granted T3 on R0; T1 still waits for T3's R2.
+  EXPECT_EQ(*raw->State(t[2]), TxnState::kActive);
+  EXPECT_EQ(*raw->State(t[0]), TxnState::kBlocked);
+  EXPECT_TRUE(raw->CheckInvariants().ok());
+  ASSERT_TRUE(raw->Commit(t[2]).ok());
+  EXPECT_EQ(*raw->State(t[0]), TxnState::kActive);
+  ASSERT_TRUE(raw->Commit(t[0]).ok());
+  core::ResolutionReport second = raw->RunDetectionPass();
+  EXPECT_EQ(second.cycles_detected, 0u);
+  EXPECT_EQ(raw->deadlock_victims(), 0u);
+  EXPECT_EQ(raw->live_transactions(), 0u);
+}
+
 // Chaos: a fault-injected workload (delayed grants, dropped wakeups,
 // crashes, shard stalls) races a continuously re-running pauseless
 // detector.  Liveness (every thread finishes, no lost wakeup), a clean
@@ -328,7 +394,6 @@ TEST(PauselessServiceTest, DissolvedCycleNeverYieldsAVictim) {
 TEST(PauselessServiceTest, FaultInjectedChurnStaysInvariantClean) {
   ConcurrentServiceOptions options;
   options.num_shards = 8;
-  options.detection_mode = DetectionMode::kPeriodic;
   options.cost_policy = CostPolicy::kLocksHeld;
   robustness::FaultPlanOptions fault_options;
   fault_options.num_faults = 12;

@@ -266,16 +266,35 @@ TEST(ValidateContractTest, SimulatorCreate) {
   EXPECT_EQ((*sim)->Run().committed, 5u);
 }
 
-// The legacy TransactionManagerOptions constructor shim was removed:
-// Create() with default options is the continuous-engine spelling.
-TEST(ValidateContractTest, DefaultCreateIsContinuousEngine) {
+// Default options create a working one-shard periodic service with no
+// detector thread: passes run when the caller asks for them.
+TEST(ValidateContractTest, DefaultCreateIsOneShardPeriodicService) {
   Result<std::unique_ptr<txn::ConcurrentLockService>> service =
       txn::ConcurrentLockService::Create({});
   ASSERT_TRUE(service.ok());
-  EXPECT_EQ((*service)->num_shards(), 1u);
-  const lock::TransactionId t = *(*service)->Begin();
-  EXPECT_TRUE((*service)->AcquireBlocking(t, 1, lock::LockMode::kX).ok());
-  EXPECT_TRUE((*service)->Commit(t).ok());
+  txn::ConcurrentLockService& s = **service;
+  EXPECT_EQ(s.num_shards(), 1u);
+  EXPECT_EQ(s.current_detection_period_us(), 0u);
+  const lock::TransactionId t1 = *s.Begin();
+  const lock::TransactionId t2 = *s.Begin();
+  EXPECT_TRUE(s.AcquireBlocking(t1, 1, lock::LockMode::kX).ok());
+  EXPECT_TRUE(s.AcquireBlocking(t2, 2, lock::LockMode::kX).ok());
+  // A cross deadlock stays until a pass resolves it.
+  EXPECT_EQ(*s.AcquireAsync(t1, 2, lock::LockMode::kX),
+            lock::RequestOutcome::kBlocked);
+  EXPECT_EQ(*s.AcquireAsync(t2, 1, lock::LockMode::kX),
+            lock::RequestOutcome::kBlocked);
+  EXPECT_EQ(s.snapshot_epoch(), 0u);
+  EXPECT_TRUE(*s.HasDeadlock());
+  const core::ResolutionReport report = s.RunDetectionPass();
+  ASSERT_EQ(report.aborted.size(), 1u);
+  EXPECT_EQ(s.snapshot_epoch(), 1u);
+  EXPECT_EQ(s.deadlock_victims(), 1u);
+  const lock::TransactionId survivor = report.aborted[0] == t1 ? t2 : t1;
+  EXPECT_EQ(*s.State(survivor), txn::TxnState::kActive);
+  EXPECT_TRUE(s.Commit(survivor).ok());
+  EXPECT_EQ(s.live_transactions(), 0u);
+  EXPECT_TRUE(s.CheckInvariants().ok());
 }
 
 }  // namespace

@@ -407,7 +407,6 @@ TEST(SchedServiceTest, FixedSchedulerReportsAreByteIdentical) {
   // all (manual passes, detection_period = 0).
   txn::ConcurrentServiceOptions without;
   without.num_shards = 2;
-  without.detection_mode = txn::DetectionMode::kPeriodic;
   without.snapshot_strategy = txn::SnapshotStrategy::kStopTheWorld;
   auto plain = txn::ConcurrentLockService::Create(without);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
@@ -431,7 +430,6 @@ TEST(SchedServiceTest, FixedSchedulerReportsAreByteIdentical) {
 TEST(SchedServiceTest, QuietServiceRaisesItsPeriod) {
   txn::ConcurrentServiceOptions options;
   options.num_shards = 2;
-  options.detection_mode = txn::DetectionMode::kPeriodic;
   // Park the thread far in the future; manual passes drive the feedback.
   options.detection_period = std::chrono::microseconds(60'000'000);
   options.scheduler.policy = sched::SchedulerPolicy::kEwmaRate;
@@ -452,26 +450,17 @@ TEST(SchedServiceTest, QuietServiceRaisesItsPeriod) {
 TEST(SchedServiceTest, AdaptivePolicyRequiresDetectorThread) {
   txn::ConcurrentServiceOptions options;
   options.num_shards = 2;
-  options.detection_mode = txn::DetectionMode::kPeriodic;
   options.scheduler.policy = sched::SchedulerPolicy::kEwmaRate;
   // No detection_period: there is no detector thread to retune.
   auto service = txn::ConcurrentLockService::Create(options);
   EXPECT_TRUE(service.status().IsInvalidArgument());
 
-  txn::ConcurrentServiceOptions continuous;
-  continuous.num_shards = 1;
-  continuous.detection_mode = txn::DetectionMode::kContinuous;
-  continuous.scheduler.policy = sched::SchedulerPolicy::kEwmaRate;
-  auto service2 = txn::ConcurrentLockService::Create(continuous);
-  EXPECT_TRUE(service2.status().IsInvalidArgument());
-
   txn::ConcurrentServiceOptions bad_knobs;
   bad_knobs.num_shards = 2;
-  bad_knobs.detection_mode = txn::DetectionMode::kPeriodic;
   bad_knobs.detection_period = std::chrono::microseconds(1000);
   bad_knobs.scheduler.min_period = 0;
-  auto service3 = txn::ConcurrentLockService::Create(bad_knobs);
-  EXPECT_TRUE(service3.status().IsInvalidArgument());
+  auto service2 = txn::ConcurrentLockService::Create(bad_knobs);
+  EXPECT_TRUE(service2.status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -109,7 +109,7 @@ TEST(TransactionManagerTest, ContinuousModeAbortsVictimInline) {
   MustAcquire(tm, b, 2, kX);
   MustAcquire(tm, a, 2, kX);
   // b's request closes the cycle; with unit costs the junction tie-break
-  // picks the lower id (a) as victim, so b gets granted instead.
+  // picks the younger id (b) as victim, so a keeps running.
   Status outcome = MustAcquire(tm, b, 1, kX);
   if (outcome.IsDeadlockVictim()) {
     EXPECT_EQ(*tm.State(b), TxnState::kAborted);

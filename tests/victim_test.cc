@@ -85,8 +85,8 @@ TEST(VictimTest, ExpensiveStMakesAbortWin) {
   ASSERT_TRUE(candidates.ok());
   size_t chosen = SelectVictim(*candidates);
   EXPECT_EQ((*candidates)[chosen].kind, VictimKind::kAbort);
-  // Tie among the four aborts: lowest junction id.
-  EXPECT_EQ((*candidates)[chosen].junction, 1u);
+  // Tie among the four aborts: the highest (youngest) junction id.
+  EXPECT_EQ((*candidates)[chosen].junction, 7u);
 }
 
 TEST(VictimTest, CheapestTransactionWins) {

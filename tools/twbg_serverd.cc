@@ -63,13 +63,11 @@ int main(int argc, char** argv) {
   using twbg::net::ServerOptions;
   using twbg::txn::ConcurrentLockService;
   using twbg::txn::ConcurrentServiceOptions;
-  using twbg::txn::DetectionMode;
   using twbg::txn::SnapshotStrategy;
 
   ServerOptions server_options;
   server_options.port = 7762;
   ConcurrentServiceOptions service_options;
-  service_options.detection_mode = DetectionMode::kPeriodic;
   service_options.num_shards = 4;
   service_options.detection_period = std::chrono::microseconds(2000);
 
