@@ -3,7 +3,8 @@
 // Reactor + worker-pool implementation of net::Server (see server.h for
 // the architecture).  Lock discipline: `mu_` guards every structure
 // shared between the reactor and the workers (session queues, the run
-// queue, counters); service calls NEVER run under mu_; the socket-side
+// queue, parked awaits, counters); service calls NEVER run under mu_;
+// `ready_mu_` is a leaf, taken under service locks; the socket-side
 // session fields (FrameReader, pending_write) belong to the reactor
 // alone and need no lock.
 
@@ -18,6 +19,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <condition_variable>
@@ -27,6 +29,7 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
@@ -37,6 +40,11 @@ namespace {
 
 constexpr size_t kMaxWorkerThreads = 64;
 constexpr size_t kReadChunk = 64 * 1024;
+// A session is not read while more of its responses than this are
+// unflushed: TCP flow control then pushes back on a peer that never reads.
+constexpr size_t kOutputHighWater = 1 << 20;
+// Drain progress is the one thing the reactor polls.
+constexpr int kDrainTickMs = 1;
 
 Status Errno(const char* what) {
   return Status::Internal(
@@ -69,9 +77,6 @@ Status ServerOptions::Validate() const {
     return Status::InvalidArgument(
         "max_inflight_per_session must be positive");
   }
-  if (await_poll.count() <= 0) {
-    return Status::InvalidArgument("await_poll must be positive");
-  }
   if (drain_deadline.count() < 0) {
     return Status::InvalidArgument("drain_deadline must not be negative");
   }
@@ -98,7 +103,11 @@ class Server::Impl {
       if (worker.joinable()) worker.join();
     }
     if (epoll_fd_ >= 0) close(epoll_fd_);
-    if (wake_fd_ >= 0) close(wake_fd_);
+    if (wake_fd_ >= 0) {
+      // The listener writes wake_fd_: unregister it before the fd closes.
+      service_->SetUnblockListener(nullptr);
+      close(wake_fd_);
+    }
     if (listen_fd_ >= 0) close(listen_fd_);
   }
 
@@ -132,6 +141,8 @@ class Server::Impl {
     if (epoll_fd_ < 0) return Errno("epoll_create1");
     wake_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     if (wake_fd_ < 0) return Errno("eventfd");
+    service_->SetUnblockListener(
+        [this](lock::TransactionId tid) { Announce(tid); });
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = listen_fd_;
@@ -177,10 +188,11 @@ class Server::Impl {
   struct Session {
     int fd = -1;
     uint64_t id = 0;
-    // Reactor-only.
+    // Reactor-only; pending_write[write_offset..] is still unflushed.
     FrameReader reader;
     std::string pending_write;
-    bool want_write = false;
+    size_t write_offset = 0;
+    uint32_t events = EPOLLIN;
     // Guarded by Impl::mu_.
     std::deque<Request> inbox;
     std::string out;
@@ -196,8 +208,6 @@ class Server::Impl {
   // What one executed request did, applied back under mu_ by the worker.
   struct ExecResult {
     Response response;
-    bool respond = true;
-    bool park = false;
     lock::TransactionId began = 0;
     lock::TransactionId terminated = 0;
   };
@@ -227,12 +237,25 @@ class Server::Impl {
     [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof(one));
   }
 
+  // `tid` left kBlocked (the unblock listener) or an Await on it parked.
+  // Only the first announcement the reactor has not taken yet wakes it.
+  void Announce(lock::TransactionId tid) {
+    bool wake;
+    {
+      std::scoped_lock lock(ready_mu_);
+      wake = ready_.empty();
+      ready_.push_back(tid);
+    }
+    if (wake) WakeReactor();
+  }
+
   // ---- reactor side ----
 
   void ReactorLoop() {
     std::vector<epoll_event> events(128);
     while (true) {
-      const int timeout_ms = ComputeTimeoutMs();
+      const int timeout_ms =
+          draining_.load(std::memory_order_relaxed) ? kDrainTickMs : -1;
       const int n =
           epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
                      timeout_ms);
@@ -272,21 +295,6 @@ class Server::Impl {
     listen_fd_ = -1;
   }
 
-  int ComputeTimeoutMs() const {
-    // Pending awaits and drain progress are polled states; everything
-    // else is event-driven (sockets, worker eventfd wakeups).
-    bool poll;
-    {
-      std::scoped_lock lock(mu_);
-      poll = awaiting_count_ > 0 || draining_.load(std::memory_order_relaxed);
-    }
-    if (!poll) return 100;
-    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        options_.await_poll)
-                        .count();
-    return ms < 1 ? 1 : static_cast<int>(ms);
-  }
-
   void AcceptAll() {
     while (true) {
       const int fd =
@@ -320,41 +328,40 @@ class Server::Impl {
     }
   }
 
+  // One read per readiness event: level-triggered epoll reports what is
+  // left, and Tick's flush runs in between, so a session whose output
+  // backs up stops being read within one chunk (FlushWrites).
   void OnReadable(Session& session) {
     char chunk[kReadChunk];
-    while (true) {
-      const ssize_t n = read(session.fd, chunk, sizeof(chunk));
-      if (n > 0) {
-        session.reader.Append(chunk, static_cast<size_t>(n));
-        if (!DrainFrames(session)) return;  // protocol error: closing
-        if (static_cast<size_t>(n) < sizeof(chunk)) return;
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      MarkClosing(session);  // EOF or hard error: the peer is gone
+    const ssize_t n = read(session.fd, chunk, sizeof(chunk));
+    if (n > 0) {
+      session.reader.Append(chunk, static_cast<size_t>(n));
+      DrainFrames(session);
       return;
     }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    MarkClosing(session);  // EOF or hard error: the peer is gone
   }
 
-  // Splits and enqueues every complete frame.  Returns false when the
-  // stream turned out to be corrupt and the session is now closing.
-  bool DrainFrames(Session& session) {
+  // Splits and enqueues every complete frame; a corrupt stream closes the
+  // session.
+  void DrainFrames(Session& session) {
     std::string payload;
     while (true) {
       Status next = session.reader.Next(&payload);
-      if (next.IsWouldBlock()) return true;
+      if (next.IsWouldBlock()) return;
       if (!next.ok()) {
         ProtocolError(session, next, /*req_id=*/0);
-        return false;
+        return;
       }
       Request request;
       Status decoded = DecodeRequest(payload, &request);
       if (!decoded.ok()) {
         ProtocolError(session, decoded, /*req_id=*/0);
-        return false;
+        return;
       }
       std::scoped_lock lock(mu_);
-      if (session.closing) return false;
+      if (session.closing) return;
       ++stats_.requests;
       const size_t inflight = session.inbox.size() +
                               (session.executing ? 1 : 0) +
@@ -401,9 +408,12 @@ class Server::Impl {
   void MarkClosingLocked(Session& session) {
     if (session.closing) return;
     session.closing = true;
-    if (session.awaiting) {
+    if (session.awaiting) {  // unpark; Cleanup answers the await
+      auto [first, last] = parked_.equal_range(session.await_tid);
+      parked_.erase(std::find_if(first, last, [&session](const auto& entry) {
+        return entry.second.get() == &session;
+      }));
       session.awaiting = false;
-      --awaiting_count_;
     }
     auto it = sessions_.find(session.fd);
     if (it != sessions_.end()) ScheduleLocked(it->second);
@@ -420,7 +430,8 @@ class Server::Impl {
   }
 
   // Moves worker-produced bytes into the reactor-owned write buffer and
-  // pushes them into the socket.  Arms/disarms EPOLLOUT as needed.
+  // pushes them into the socket.  Arms EPOLLOUT while bytes remain, and
+  // EPOLLIN unless more than kOutputHighWater of them do.
   void FlushWrites(Session& session) {
     {
       std::scoped_lock lock(mu_);
@@ -429,40 +440,41 @@ class Server::Impl {
         session.out.clear();
       }
     }
-    while (!session.pending_write.empty()) {
-      const ssize_t n = write(session.fd, session.pending_write.data(),
-                              session.pending_write.size());
+    std::string& buffer = session.pending_write;
+    while (session.write_offset < buffer.size()) {
+      // MSG_NOSIGNAL: a reset peer is an EPIPE, not a process SIGPIPE.
+      const ssize_t n = send(session.fd, buffer.data() + session.write_offset,
+                             buffer.size() - session.write_offset,
+                             MSG_NOSIGNAL);
       if (n > 0) {
-        session.pending_write.erase(0, static_cast<size_t>(n));
+        session.write_offset += static_cast<size_t>(n);
         continue;
       }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        if (!session.want_write) {
-          epoll_event ev{};
-          ev.events = EPOLLIN | EPOLLOUT;
-          ev.data.fd = session.fd;
-          epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, session.fd, &ev);
-          session.want_write = true;
-        }
-        return;
-      }
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       MarkClosing(session);  // write error: the peer is gone
       return;
     }
-    if (session.want_write) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = session.fd;
-      epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, session.fd, &ev);
-      session.want_write = false;
+    // Compact once the flushed prefix dominates (amortized O(1) appends).
+    if (session.write_offset > buffer.size() / 2) {
+      buffer.erase(0, session.write_offset);
+      session.write_offset = 0;
     }
+    uint32_t events = 0;
+    if (!buffer.empty()) events |= EPOLLOUT;
+    if (buffer.size() <= kOutputHighWater) events |= EPOLLIN;
+    if (events == session.events) return;
+    epoll_event ev{};
+    ev.events = events;
+    ev.data.fd = session.fd;
+    epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, session.fd, &ev);
+    session.events = events;
   }
 
-  // One reactor housekeeping round: resolve awaits, flush writes, retire
-  // cleaned sessions, advance the drain.  Returns true when the server
-  // is fully drained and the reactor should exit.
+  // One reactor housekeeping round: answer announced awaits, flush
+  // writes, retire cleaned sessions, advance the drain.  Returns true when
+  // the server is fully drained and the reactor should exit.
   bool Tick() {
-    ResolveAwaits();
+    AnswerAnnouncedAwaits();
 
     std::vector<std::shared_ptr<Session>> flush;
     std::vector<std::shared_ptr<Session>> retire;
@@ -494,59 +506,35 @@ class Server::Impl {
     return AdvanceDrain();
   }
 
-  void ResolveAwaits() {
-    struct Pending {
-      std::shared_ptr<Session> session;
-      lock::TransactionId tid;
-      uint64_t req_id;
-    };
-    std::vector<Pending> pending;
+  // Answers the awaits parked on announced tids that are not kBlocked.
+  void AnswerAnnouncedAwaits() {
+    std::vector<lock::TransactionId> announced;
     {
-      std::scoped_lock lock(mu_);
-      if (awaiting_count_ == 0) return;
-      for (auto& [fd, session] : sessions_) {
-        if (session->awaiting && !session->closing) {
-          pending.push_back({session, session->await_tid,
-                             session->await_req_id});
-        }
-      }
+      std::scoped_lock lock(ready_mu_);
+      announced.swap(ready_);
     }
-    for (const Pending& p : pending) {
-      Result<txn::TxnState> state = service_->State(p.tid);
-      Response response;
-      response.type = MsgType::kAwait;
-      response.req_id = p.req_id;
-      if (!state.ok()) {
-        SetResponseStatus(state.status(), 0, &response);
-      } else {
-        switch (*state) {
-          case txn::TxnState::kBlocked:
-            continue;  // still waiting
-          case txn::TxnState::kActive:
-            break;  // granted: kOk
-          case txn::TxnState::kAborted:
-            SetResponseStatus(
-                Status::DeadlockVictim(common::Format(
-                    "T%u aborted as deadlock victim while waiting", p.tid)),
-                0, &response);
-            break;
-          case txn::TxnState::kCommitted:
-            SetResponseStatus(
-                Status::FailedPrecondition(common::Format(
-                    "T%u is committed; nothing to await", p.tid)),
-                0, &response);
-            break;
-        }
+    for (lock::TransactionId tid : announced) {
+      {
+        std::scoped_lock lock(mu_);
+        if (parked_.count(tid) == 0) continue;
       }
+      const Status status = txn::AwaitStatus(tid, service_->State(tid));
+      if (status.IsWouldBlock()) continue;  // the next exit announces it
       std::scoped_lock lock(mu_);
-      if (!p.session->awaiting || p.session->await_req_id != p.req_id) {
-        continue;  // the session closed (or was cleaned) in the meantime
+      auto [first, last] = parked_.equal_range(tid);
+      for (auto it = first; it != last; ++it) {
+        Session& session = *it->second;
+        Response response;
+        response.type = MsgType::kAwait;
+        // Answered here, so Cleanup owes it no response.
+        response.req_id = std::exchange(session.await_req_id, 0);
+        SetResponseStatus(status, 0, &response);
+        session.awaiting = false;
+        session.out += EncodeResponse(response);
+        ++stats_.responses;
+        ScheduleLocked(it->second);
       }
-      p.session->awaiting = false;
-      --awaiting_count_;
-      p.session->out += EncodeResponse(response);
-      ++stats_.responses;
-      ScheduleLocked(p.session);
+      parked_.erase(first, last);
     }
   }
 
@@ -626,30 +614,26 @@ class Server::Impl {
         }
         Request request = std::move(session->inbox.front());
         session->inbox.pop_front();
+        if (request.type == MsgType::kAwait) {
+          // Parked, not executed: the reactor answers it once its tid is
+          // announced.  The park announces the tid itself, and the reactor
+          // reads the state only after that, so a wait that already ended
+          // is answered too.
+          session->awaiting = true;
+          session->await_req_id = request.req_id;
+          session->await_tid = request.tid;
+          parked_.emplace(request.tid, session);
+          Announce(request.tid);
+          session->executing = false;
+          break;
+        }
         lock.unlock();
         ExecResult result = Execute(request);
         lock.lock();
         if (result.began != 0) session->txns.insert(result.began);
         if (result.terminated != 0) session->txns.erase(result.terminated);
-        if (result.park && !session->closing) {
-          session->awaiting = true;
-          session->await_req_id = request.req_id;
-          session->await_tid = request.tid;
-          ++awaiting_count_;
-          session->executing = false;
-          break;
-        }
-        if (result.respond || result.park) {
-          // A parked await on a session that started closing mid-call is
-          // answered here instead of parking (the peer is gone anyway).
-          if (result.park) {
-            SetResponseStatus(
-                Status::FailedPrecondition("session closing"), 0,
-                &result.response);
-          }
-          session->out += EncodeResponse(result.response);
-          ++stats_.responses;
-        }
+        session->out += EncodeResponse(result.response);
+        ++stats_.responses;
       }
       WakeReactor();  // new bytes to flush / a cleaned session to retire
     }
@@ -689,35 +673,8 @@ class Server::Impl {
         }
         break;
       }
-      case MsgType::kAwait: {
-        Result<txn::TxnState> state = service_->State(request.tid);
-        if (!state.ok()) {
-          SetResponseStatus(state.status(), 0, &response);
-          break;
-        }
-        switch (*state) {
-          case txn::TxnState::kBlocked:
-            result.park = true;
-            result.respond = false;
-            break;
-          case txn::TxnState::kActive:
-            break;  // kOk
-          case txn::TxnState::kAborted:
-            SetResponseStatus(
-                Status::DeadlockVictim(common::Format(
-                    "T%u aborted as deadlock victim while waiting",
-                    request.tid)),
-                0, &response);
-            break;
-          case txn::TxnState::kCommitted:
-            SetResponseStatus(
-                Status::FailedPrecondition(common::Format(
-                    "T%u is committed; nothing to await", request.tid)),
-                0, &response);
-            break;
-        }
-        break;
-      }
+      case MsgType::kAwait:
+        break;  // parked by the worker loop, never executed
       case MsgType::kCommit: {
         Status committed = service_->Commit(request.tid);
         SetResponseStatus(committed, 0, &response);
@@ -791,7 +748,6 @@ class Server::Impl {
   void Cleanup(Session& session) {
     std::vector<lock::TransactionId> txns;
     std::deque<Request> unanswered;
-    bool was_awaiting = false;
     uint64_t await_req_id = 0;
     lock::TransactionId await_tid = 0;
     {
@@ -799,14 +755,10 @@ class Server::Impl {
       txns.assign(session.txns.begin(), session.txns.end());
       session.txns.clear();
       unanswered.swap(session.inbox);
-      // MarkClosingLocked cleared `awaiting`, but the request itself
-      // still needs its response.
-      if (session.await_req_id != 0) {
-        was_awaiting = true;
-        await_req_id = session.await_req_id;
-        await_tid = session.await_tid;
-        session.await_req_id = 0;
-      }
+      // MarkClosingLocked unparked an unanswered await, but the request
+      // itself still needs its response.
+      await_req_id = std::exchange(session.await_req_id, 0);
+      await_tid = session.await_tid;
     }
     uint64_t aborted = 0;
     for (lock::TransactionId tid : txns) {
@@ -816,7 +768,7 @@ class Server::Impl {
       if (service_->Abort(tid).ok()) ++aborted;
     }
     std::string responses;
-    if (was_awaiting) {
+    if (await_req_id != 0) {
       Response response;
       response.type = MsgType::kAwait;
       response.req_id = await_req_id;
@@ -837,7 +789,7 @@ class Server::Impl {
     }
     std::scoped_lock lock(mu_);
     stats_.orphan_aborts += aborted;
-    stats_.responses += (was_awaiting ? 1 : 0) + unanswered.size();
+    stats_.responses += (await_req_id != 0 ? 1 : 0) + unanswered.size();
     session.out += responses;
   }
 
@@ -862,9 +814,14 @@ class Server::Impl {
   std::condition_variable work_cv_;
   std::map<int, std::shared_ptr<Session>> sessions_;
   std::deque<std::shared_ptr<Session>> run_queue_;
-  size_t awaiting_count_ = 0;
+  // Parked awaits by transaction id.
+  std::multimap<lock::TransactionId, std::shared_ptr<Session>> parked_;
   bool stop_workers_ = false;
   ServerStats stats_;
+
+  // Announced tids not yet looked at by the reactor (see Announce).
+  std::mutex ready_mu_;
+  std::vector<lock::TransactionId> ready_;
 
   std::atomic<bool> draining_{false};
   std::chrono::steady_clock::time_point drain_deadline_at_{};

@@ -5,8 +5,8 @@
 // Architecture (docs/SERVICE.md has the full protocol):
 //
 //   * One reactor thread owns the sockets: epoll-driven accept, read,
-//     frame reassembly (wire::FrameReader) and write flushing.  It never
-//     calls into the lock service.
+//     frame reassembly (wire::FrameReader) and write flushing.  Its only
+//     service calls are State reads.
 //   * A small worker pool executes decoded requests.  Requests of one
 //     session run strictly FIFO and never concurrently (an `executing`
 //     flag hands the whole per-session queue to one worker at a time),
@@ -14,11 +14,10 @@
 //     is also what makes dead-peer cleanup safe: it runs as the
 //     session's final serialized task.
 //   * Blocked acquires never park a thread: Acquire maps to
-//     AcquireAsync, and an Await whose transaction is still kBlocked
-//     parks the *session* on the reactor's pending-await list, polled
-//     every await_poll until the detector or a release flips the
-//     transaction's state.  One reactor thread multiplexes every
-//     blocked client.
+//     AcquireAsync, and Await parks the *session* by transaction id.  As
+//     the service's unblock listener the server hears of every exit from
+//     kBlocked and answers just the awaits parked on it; nothing polls.
+//     One reactor thread multiplexes every blocked client.
 //
 // Session model: one TCP connection == one session.  Transactions begun
 // on a session belong to it; when the peer dies (EOF, read/write error,
@@ -28,6 +27,7 @@
 // Backpressure: admission sheds from the service (kResourceExhausted)
 // and the per-session in-flight cap surface as responses carrying
 // `retry_after_us` — a wire-level retry-after, never a dropped request.
+// A session with over 1 MiB of unflushed responses is not read.
 //
 // Drain (SIGTERM in twbg-serverd): BeginDrain stops accepting, rejects
 // new Begins with kResourceExhausted("draining"), lets in-flight
@@ -65,13 +65,11 @@ struct ServerOptions {
   /// How long BeginDrain lets in-flight transactions finish before
   /// aborting them.
   std::chrono::milliseconds drain_deadline{2000};
-  /// Reactor poll granularity for pending awaits (and drain progress).
-  std::chrono::microseconds await_poll{1000};
   /// The retry-after hint stamped on kResourceExhausted responses.
   std::chrono::microseconds retry_after{1000};
 
   /// Rejects an empty host, worker_threads outside [1, 64], zero
-  /// max_sessions / max_inflight_per_session / await_poll.
+  /// max_sessions / max_inflight_per_session.
   Status Validate() const;
 };
 
@@ -96,7 +94,7 @@ class Server {
  public:
   /// Validates `options` and builds the server around `service` (not
   /// owned; must outlive the server).  The socket is not opened until
-  /// Start().
+  /// Start(), which makes it the service's (single) unblock listener.
   static Result<std::unique_ptr<Server>> Create(
       ServerOptions options, txn::ConcurrentLockService* service);
 

@@ -372,6 +372,7 @@ Result<lock::RequestOutcome> ConcurrentLockService::RequestLocked(
       break;
     case lock::RequestOutcome::kBlocked:
       rec.state.store(TxnState::kBlocked, std::memory_order_relaxed);
+      rec.wait_shard = shard_index;
       break;
   }
   *rec_out = &rec;
@@ -427,24 +428,48 @@ Status ConcurrentLockService::AcquireBlocking(lock::TransactionId tid,
       RequestLocked(tid, rid, mode, shard_index, &rec);
   shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
   if (!outcome.ok()) return outcome.status();
-  if (*outcome != lock::RequestOutcome::kBlocked) {
-    sl.unlock();
-    if (grant_delay_us != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(grant_delay_us));
-    }
-    return Status::OK();
+  if (*outcome == lock::RequestOutcome::kBlocked) {
+    Status waited = WaitUnblocked(tid, shard, sl, *rec,
+                                  options_.robustness.deadline.lock_wait);
+    if (!waited.ok()) return waited;
   }
+  sl.unlock();
+  if (grant_delay_us != 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(grant_delay_us));
+  }
+  return Status::OK();
+}
 
-  // Park on the shard of the resource we are blocked on.  We have held
-  // shard.mu continuously since the lock manager queued us, and anyone
-  // who grants or aborts us does so while holding this same mutex (the
-  // rid is in our shard_mask and in the granter's release set; the
-  // detector holds every shard) — so the state change cannot slip in
-  // between our predicate check and the park, and no wakeup is missed.
-  const auto unblocked = [rec] {
-    return rec->state.load(std::memory_order_relaxed) != TxnState::kBlocked;
+Status ConcurrentLockService::Await(lock::TransactionId tid) {
+  TWBG_DCHECK(t_in_sealed_detect == 0);
+  const TxnRecord* rec = nullptr;
+  Shard* shard = nullptr;
+  {
+    std::scoped_lock tl(txn_mu_);
+    auto it = txns_.find(tid);
+    if (it == txns_.end()) {
+      return Status::NotFound(common::Format("unknown transaction T%u", tid));
+    }
+    rec = &it->second;  // records are never erased
+    shard = shards_[rec->wait_shard].get();
+  }
+  // A wait that ends before we hold the shard mutex is no lost wakeup:
+  // WaitUnblocked checks its predicate under the mutex before parking.
+  std::unique_lock<std::mutex> sl(shard->mu);
+  return WaitUnblocked(tid, *shard, sl, *rec, /*deadline_us=*/0);
+}
+
+Status ConcurrentLockService::WaitUnblocked(lock::TransactionId tid,
+                                            Shard& shard,
+                                            std::unique_lock<std::mutex>& sl,
+                                            const TxnRecord& rec,
+                                            uint64_t deadline_us) {
+  // Whoever grants or aborts tid holds this shard's mutex (the rid is in
+  // the granter's release set; the detector holds every shard), so the
+  // change cannot slip in between the predicate check and the park.
+  const auto unblocked = [&rec] {
+    return rec.state.load(std::memory_order_relaxed) != TxnState::kBlocked;
   };
-  const uint64_t deadline_us = options_.robustness.deadline.lock_wait;
   if (deadline_us == 0 && injector_ == nullptr) {
     shard.cv.wait(sl, unblocked);
   } else {
@@ -469,15 +494,13 @@ Status ConcurrentLockService::AcquireBlocking(lock::TransactionId tid,
       shard.cv.wait_for(sl, kWaitPoll);
     }
   }
-  if (rec->state.load(std::memory_order_relaxed) == TxnState::kActive) {
-    sl.unlock();
-    if (grant_delay_us != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(grant_delay_us));
-    }
-    return Status::OK();
-  }
-  return Status::DeadlockVictim(
-      common::Format("T%u aborted as deadlock victim while waiting", tid));
+  return AwaitStatus(tid, rec.state.load(std::memory_order_relaxed));
+}
+
+void ConcurrentLockService::SetUnblockListener(
+    std::function<void(lock::TransactionId)> listener) {
+  std::scoped_lock tl(txn_mu_);
+  unblock_listener_ = std::move(listener);
 }
 
 Result<lock::RequestOutcome> ConcurrentLockService::AcquireAsync(
@@ -485,9 +508,7 @@ Result<lock::RequestOutcome> ConcurrentLockService::AcquireAsync(
   TWBG_DCHECK(t_in_sealed_detect == 0);
   const size_t shard_index = ShardIndex(rid);
   // The registration half of AcquireBlocking, returning the outcome
-  // instead of parking on the shard cv.  A later grant flips the record's
-  // atomic state via ReactivateLocked whether or not a thread is parked,
-  // so callers observe it through State(tid).
+  // instead of parking on the shard cv; Await(tid) is the other half.
   Shard& shard = *shards_[shard_index];
   std::unique_lock<std::mutex> sl = LockShard(shard);
   common::Stopwatch hold;
@@ -529,11 +550,7 @@ Status ConcurrentLockService::CancelWait(lock::TransactionId tid,
   // waiter states only while holding it — whichever of {grant, abort,
   // expiry} we observe first under txn_mu_ is the wait's single
   // resolution.
-  if (state == TxnState::kActive) return Status::OK();
-  if (state != TxnState::kBlocked) {
-    return Status::DeadlockVictim(
-        common::Format("T%u aborted as deadlock victim while waiting", tid));
-  }
+  if (state != TxnState::kBlocked) return AwaitStatus(tid, state);
   std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
   if (observed()) ol.lock();
   const lock::TxnLockInfo* info = shard.lm.Info(tid);
@@ -543,7 +560,7 @@ Status ConcurrentLockService::CancelWait(lock::TransactionId tid,
   const uint64_t span = info->wait_span;
   Result<std::vector<lock::TransactionId>> granted = shard.lm.CancelWait(tid);
   TWBG_CHECK(granted.ok());
-  rec.state.store(TxnState::kActive, std::memory_order_relaxed);
+  SetStateLocked(tid, rec, TxnState::kActive);
   rec.deadline_expiries++;
   rec.blocked_sweeps = 0;
   deadline_expiries_.fetch_add(1, std::memory_order_relaxed);
@@ -620,8 +637,8 @@ Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
     }
     std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
     if (observed()) ol.lock();
-    rec.state.store(commit ? TxnState::kCommitted : TxnState::kAborted,
-                    std::memory_order_relaxed);
+    SetStateLocked(tid, rec,
+                   commit ? TxnState::kCommitted : TxnState::kAborted);
     --live_txns_;
     if (obs::Enabled(bus_)) {
       obs::Event event;
@@ -635,8 +652,8 @@ Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
     costs_.Erase(tid);
     ReactivateLocked(ReleaseAllShardsLocked(tid, mask));
   }
-  // A planned drop-wakeup fault swallows this termination's broadcast;
-  // the waiters it would have woken recover via their polling waits.
+  // A planned drop-wakeup fault swallows this termination's broadcast (not
+  // the announcements); its waiters recover via their polling waits.
   const bool drop = injector_ != nullptr && injector_->TakeDropWakeup(tid);
   if (drop) {
     robustness::Fault fault;
@@ -1152,7 +1169,7 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
     }
     for (lock::TransactionId victim : victims) {
       TxnRecord& rec = txns_.at(victim);
-      rec.state.store(TxnState::kAborted, std::memory_order_relaxed);
+      SetStateLocked(victim, rec, TxnState::kAborted);
       // Deliberately NOT flagged deadlock_victim: a timeout abort is a
       // guess, not a detected cycle; it lands in sweep_aborts() instead.
       --live_txns_;
@@ -1198,7 +1215,7 @@ void ConcurrentLockService::ApplyReportLocked(
   for (lock::TransactionId victim : report.aborted) {
     auto it = txns_.find(victim);
     if (it == txns_.end()) continue;
-    it->second.state.store(TxnState::kAborted, std::memory_order_relaxed);
+    SetStateLocked(victim, it->second, TxnState::kAborted);
     it->second.deadlock_victim = true;
     --live_txns_;
     ++deadlock_victims_;
@@ -1224,11 +1241,17 @@ void ConcurrentLockService::ReactivateLocked(
     if (rec.state.load(std::memory_order_relaxed) != TxnState::kBlocked) {
       continue;
     }
-    rec.state.store(TxnState::kActive, std::memory_order_relaxed);
+    SetStateLocked(g, rec, TxnState::kActive);
     rec.locks_granted++;
     rec.blocked_sweeps = 0;
     RefreshCostLocked(g, rec);
   }
+}
+
+void ConcurrentLockService::SetStateLocked(lock::TransactionId tid,
+                                           TxnRecord& rec, TxnState to) {
+  const TxnState from = rec.state.exchange(to, std::memory_order_relaxed);
+  if (from == TxnState::kBlocked && unblock_listener_) unblock_listener_(tid);
 }
 
 void ConcurrentLockService::PublishShardStatsLocked() {
@@ -1583,6 +1606,23 @@ std::string ConcurrentLockService::DebugDump() {
         static_cast<unsigned long long>(rec.locks_granted));
   }
   return out;
+}
+
+Status AwaitStatus(lock::TransactionId tid, const Result<TxnState>& state) {
+  if (!state.ok()) return state.status();
+  switch (*state) {
+    case TxnState::kActive:
+      return Status::OK();
+    case TxnState::kBlocked:
+      return Status::WouldBlock("still blocked");
+    case TxnState::kAborted:
+      return Status::DeadlockVictim(common::Format(
+          "T%u aborted as deadlock victim while waiting", tid));
+    case TxnState::kCommitted:
+      return Status::FailedPrecondition(
+          common::Format("T%u is committed; nothing to await", tid));
+  }
+  return Status::Internal("unhandled transaction state");
 }
 
 Status AcquireWithRetry(ConcurrentLockService& service,

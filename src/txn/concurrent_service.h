@@ -63,8 +63,12 @@
 //   * deterministic fault injection: a robustness::FaultPlan addressed by
 //     (txn, per-txn operation index) injects crash-txn and delay-grant
 //     faults at AcquireBlocking entry, drop-wakeup at the notifier's
-//     terminate broadcast, and stall-shard at the target shard's next
-//     acquire.
+//     terminate cv broadcast (never the unblock announcement), and
+//     stall-shard at the target shard's next acquire.
+//
+// Every exit from kBlocked (grant, victim or sweep abort, withdrawn wait,
+// abort of a waiter) calls the unblock listener (SetUnblockListener), and
+// the shard cv broadcast follows; Await and AcquireBlocking park on it.
 //
 // Lock ordering (deadlock-free by construction): shard mutexes in
 // ascending shard index, then the transaction-table mutex, then the
@@ -257,8 +261,8 @@ class ConcurrentLockService {
   ///   kAlreadyHeld  `tid` already holds `mode` (or stronger) on `rid`;
   ///   kBlocked      queued; the transaction is kBlocked until a release
   ///                 or a detection pass reactivates (or aborts) it —
-  ///                 poll State(tid) for the transition (kActive: granted;
-  ///                 kAborted: deadlock victim).
+  ///                 Await(tid) blocks until then (the unblock listener
+  ///                 hears of it too).
   /// Admission watermarks apply exactly as in AcquireBlocking
   /// (kResourceExhausted); lock-wait deadlines and fault injection do
   /// not (they are parked-waiter machinery).  This is the seam the
@@ -268,6 +272,16 @@ class ConcurrentLockService {
   Result<lock::RequestOutcome> AcquireAsync(lock::TransactionId tid,
                                             lock::ResourceId rid,
                                             lock::LockMode mode);
+
+  /// Blocks until `tid` is not kBlocked (parked like AcquireBlocking, with
+  /// no lock-wait deadline) and returns AwaitStatus of its state.
+  Status Await(lock::TransactionId tid);
+
+  /// Installs the single-slot listener called with `tid` whenever a
+  /// transaction leaves kBlocked, under service locks: like a bus sink it
+  /// must not call back into the service.  Null clears it; once this
+  /// returns, the previous listener is not running.
+  void SetUnblockListener(std::function<void(lock::TransactionId)> listener);
 
   /// Pins `tid`'s abort cost to `cost`: the value replaces the
   /// policy-computed cost and is no longer refreshed on subsequent
@@ -439,6 +453,7 @@ class ConcurrentLockService {
     // s.  Never shrinks; commits/aborts lock exactly these shards (which
     // is why num_shards is capped at 64).
     uint64_t shard_mask = 0;
+    size_t wait_shard = 0;  // the shard of its latest wait
   };
 
   class PassHost;  // core::ShardedDetectionHost over the shard set
@@ -477,7 +492,14 @@ class ConcurrentLockService {
   // `sweep_patience` consecutive sweeps.  Same locks as the full pass.
   core::ResolutionReport RunTimeoutSweep();
 
-  // Deadline-timeout body of AcquireBlocking: cancels tid's wait (or
+  // The park of AcquireBlocking and Await (`sl` holds shard.mu): waits
+  // until `rec` leaves kBlocked and returns AwaitStatus, or withdraws the
+  // wait once a nonzero `deadline_us` expires (CancelWait).
+  Status WaitUnblocked(lock::TransactionId tid, Shard& shard,
+                       std::unique_lock<std::mutex>& sl, const TxnRecord& rec,
+                       uint64_t deadline_us);
+
+  // Deadline-timeout body of WaitUnblocked: cancels tid's wait (or
   // reports the grant/abort that raced in).  Runs with the shard mutex
   // held; takes txn_mu_/obs_mu_ internally.  Sets `escalate` when the
   // abort-after-N policy fires (caller aborts after unlocking).
@@ -500,6 +522,10 @@ class ConcurrentLockService {
   // Transitions granted waiters' records kBlocked -> kActive (txn_mu_
   // held).
   void ReactivateLocked(const std::vector<lock::TransactionId>& granted);
+
+  // Every state change but entering kBlocked (txn_mu_ held); the only
+  // caller of the unblock listener.
+  void SetStateLocked(lock::TransactionId tid, TxnRecord& rec, TxnState to);
 
   // Emits one kShardContention per shard (pass locks held, bus active).
   void PublishShardStatsLocked();
@@ -555,8 +581,8 @@ class ConcurrentLockService {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // Transaction table; guards txns_, costs_, next_tid_, next_ts_,
-  // live_txns_ and deadlock_victims_.  Acquired after any shard mutexes,
-  // before obs_mu_.
+  // live_txns_, deadlock_victims_ and unblock_listener_.  Acquired after
+  // any shard mutexes, before obs_mu_.
   mutable std::mutex txn_mu_;
   std::map<lock::TransactionId, TxnRecord> txns_;
   core::CostTable costs_;
@@ -564,6 +590,7 @@ class ConcurrentLockService {
   uint64_t next_ts_ = 1;
   size_t live_txns_ = 0;
   size_t deadlock_victims_ = 0;
+  std::function<void(lock::TransactionId)> unblock_listener_;
 
   // Serializes every emission on the shared bus and span tracer
   // (innermost lock; only taken when one of them is attached).
@@ -619,6 +646,11 @@ class ConcurrentLockService {
   bool stopping_ = false;
   std::thread detector_thread_;
 };
+
+/// The one TxnState -> Await result mapping: kOk for kActive,
+/// kDeadlockVictim for kAborted, kFailedPrecondition for kCommitted,
+/// kWouldBlock for kBlocked; a failed lookup passes through.
+Status AwaitStatus(lock::TransactionId tid, const Result<TxnState>& state);
 
 /// Client-side retry helper: calls AcquireBlocking, and on
 /// kDeadlineExceeded / kResourceExhausted sleeps a decorrelated-jitter

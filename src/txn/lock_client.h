@@ -15,9 +15,9 @@
 // The interface is deliberately *non-blocking at the lock layer*:
 // Acquire returns the immediate outcome (granted / alreadyheld /
 // blocked) and a blocked caller observes the grant — or its selection
-// as a deadlock victim — through Await/State.  That shape is what lets
-// one daemon reactor thread multiplex hundreds of blocked clients, and
-// it maps 1:1 onto ConcurrentLockService::AcquireAsync.
+// as a deadlock victim — through Await.  That shape is what lets one
+// daemon reactor thread multiplex hundreds of blocked clients, and it
+// maps 1:1 onto ConcurrentLockService::AcquireAsync and Await.
 //
 // Thread contract: one LockClient instance serves one logical client
 // session; calls on a single instance must be externally serialized.
@@ -83,8 +83,8 @@ class LockClient {
   virtual Result<lock::TransactionId> Begin() = 0;
 
   /// Requests `mode` on `rid` and returns the immediate outcome without
-  /// blocking.  On kBlocked, call Await(tid) (or poll State) to learn
-  /// whether the wait ended in a grant or a victim abort.
+  /// blocking.  On kBlocked, call Await(tid) to learn whether the wait
+  /// ended in a grant or a victim abort.
   virtual Result<lock::RequestOutcome> Acquire(lock::TransactionId tid,
                                                lock::ResourceId rid,
                                                lock::LockMode mode) = 0;
@@ -124,8 +124,8 @@ namespace txn {
 /// LockClient over a ConcurrentLockService in this process.
 class InProcessClient final : public LockClient {
  public:
-  /// Wraps `service` (not owned; must outlive the client).  The
-  /// non-blocking Acquire contract is the service's AcquireAsync.
+  /// Wraps `service` (not owned; must outlive the client).  Acquire and
+  /// Await are the service's AcquireAsync and Await.
   static Result<std::unique_ptr<InProcessClient>> Create(
       ConcurrentLockService* service);
 

@@ -2,21 +2,24 @@
 //
 // InProcessClient: the LockClient contract against a periodic-engine
 // service in the same address space — Begin/Acquire/Await/Commit
-// round-trips, victim-abort surfacing through Await, view rendering and
-// the ProjectReport projection the daemon shares.
+// round-trips, Await returning on a grant, on a victim abort by the
+// detector thread and despite a dropped wakeup, view rendering and the
+// ProjectReport projection the daemon shares.
 
 #include "txn/lock_client.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <thread>
 
 namespace twbg::txn {
 namespace {
 
-std::unique_ptr<ConcurrentLockService> MakeService() {
-  auto service = ConcurrentLockService::Create(ConcurrentServiceOptions{});
+std::unique_ptr<ConcurrentLockService> MakeService(
+    ConcurrentServiceOptions options = {}) {
+  auto service = ConcurrentLockService::Create(std::move(options));
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   return std::move(*service);
 }
@@ -109,6 +112,59 @@ TEST(InProcessClientTest, VictimSurfacesThroughAwait) {
   EXPECT_TRUE((*client)->Await(*t1).IsDeadlockVictim());
   EXPECT_TRUE((*client)->Await(*t2).ok());
   EXPECT_TRUE((*client)->Commit(*t2).ok());
+}
+
+TEST(InProcessClientTest, AwaitReturnsOnDetectorVictimAbort) {
+  ConcurrentServiceOptions options;
+  options.detection_period = std::chrono::milliseconds(5);
+  auto service = MakeService(options);
+  auto client = InProcessClient::Create(service.get());
+  ASSERT_TRUE(client.ok());
+
+  auto t1 = (*client)->Begin();
+  auto t2 = (*client)->Begin();
+  ASSERT_TRUE(t1.ok() && t2.ok());
+  ASSERT_TRUE((*client)->SetCost(*t1, 1.0).ok());
+  ASSERT_TRUE((*client)->SetCost(*t2, 10.0).ok());
+  ASSERT_TRUE((*client)->Acquire(*t1, 1, lock::LockMode::kX).ok());
+  ASSERT_TRUE((*client)->Acquire(*t2, 2, lock::LockMode::kX).ok());
+  EXPECT_EQ(*(*client)->Acquire(*t1, 2, lock::LockMode::kX),
+            lock::RequestOutcome::kBlocked);
+  EXPECT_EQ(*(*client)->Acquire(*t2, 1, lock::LockMode::kX),
+            lock::RequestOutcome::kBlocked);
+
+  // Nobody but the detector thread can end these waits.
+  EXPECT_TRUE((*client)->Await(*t1).IsDeadlockVictim());
+  EXPECT_TRUE((*client)->Await(*t2).ok());
+  EXPECT_TRUE((*client)->Commit(*t2).ok());
+}
+
+TEST(InProcessClientTest, AwaitRecoversFromDroppedWakeup) {
+  ConcurrentServiceOptions options;
+  robustness::Fault drop;
+  drop.kind = robustness::FaultKind::kDropWakeup;
+  drop.txn = 1;  // the holder's commit broadcast is swallowed
+  options.fault_plan.faults.push_back(drop);
+  auto service = MakeService(options);
+  auto client = InProcessClient::Create(service.get());
+  ASSERT_TRUE(client.ok());
+
+  auto holder = (*client)->Begin();
+  auto waiter = (*client)->Begin();
+  ASSERT_TRUE(holder.ok() && waiter.ok());
+  ASSERT_EQ(*holder, 1u);
+  ASSERT_TRUE((*client)->Acquire(*holder, 1, lock::LockMode::kX).ok());
+  EXPECT_EQ(*(*client)->Acquire(*waiter, 1, lock::LockMode::kX),
+            lock::RequestOutcome::kBlocked);
+
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(service->Commit(*holder).ok());
+  });
+  EXPECT_TRUE((*client)->Await(*waiter).ok());
+  releaser.join();
+  EXPECT_EQ(service->fault_injector()->injected(), 1u);  // it did drop
+  EXPECT_TRUE((*client)->Commit(*waiter).ok());
 }
 
 TEST(InProcessClientTest, ViewsRender) {

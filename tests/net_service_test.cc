@@ -7,7 +7,9 @@
 // waiters, graceful drain (no request silently dropped), the per-session
 // in-flight cap, and protocol-error handling.
 
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -60,6 +62,9 @@ Harness StartServer(ServerOptions server_options = {},
 std::unique_ptr<TcpClient> Connect(const Harness& harness) {
   ClientOptions options;
   options.port = harness.port();
+  // A response that never comes (a lost Await answer) fails the test
+  // instead of hanging it.
+  options.request_timeout = std::chrono::seconds(10);
   auto client = TcpClient::Create(options);
   EXPECT_TRUE(client.ok()) << client.status().ToString();
   return std::move(*client);
@@ -80,9 +85,6 @@ TEST(ServerOptionsTest, ValidateRejectsOutOfDomain) {
   EXPECT_TRUE(options.Validate().IsInvalidArgument());
   options = {};
   options.max_inflight_per_session = 0;
-  EXPECT_TRUE(options.Validate().IsInvalidArgument());
-  options = {};
-  options.await_poll = std::chrono::microseconds(0);
   EXPECT_TRUE(options.Validate().IsInvalidArgument());
   EXPECT_TRUE(ServerOptions{}.Validate().ok());
 }
@@ -151,6 +153,109 @@ TEST(NetServiceTest, ServerSideAwaitUnblocksOnGrant) {
   EXPECT_TRUE(waiter->Await(*w).ok());
   releaser.join();
   EXPECT_TRUE(waiter->Commit(*w).ok());
+}
+
+// The parked awaits below are answered only by the service's unblock
+// announcement: the reactor polls nothing.
+
+TEST(NetServiceTest, AwaitAnsweredOnInProcessCommit) {
+  Harness harness = StartServer();
+  ConcurrentLockService& service = *harness.service;
+  auto waiter = Connect(harness);
+
+  auto h = service.Begin();
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(service.AcquireBlocking(*h, 1, lock::LockMode::kX).ok());
+  auto w = waiter->Begin();
+  ASSERT_TRUE(w.ok());
+  EXPECT_EQ(*waiter->Acquire(*w, 1, lock::LockMode::kX),
+            lock::RequestOutcome::kBlocked);
+
+  // No TCP traffic at all while the await is parked.
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_TRUE(service.Commit(*h).ok());
+  });
+  EXPECT_TRUE(waiter->Await(*w).ok());
+  releaser.join();
+  EXPECT_TRUE(waiter->Commit(*w).ok());
+}
+
+TEST(NetServiceTest, AwaitAnsweredOnDetectorVictimAbort) {
+  ConcurrentServiceOptions service_options;
+  service_options.detection_period = std::chrono::milliseconds(5);
+  Harness harness = StartServer({}, service_options);
+  ConcurrentLockService& service = *harness.service;
+  auto client = Connect(harness);
+
+  // T1 over TCP, T2 in-process; T1 is the cheaper victim.
+  auto t1 = client->Begin();
+  auto t2 = service.Begin();
+  ASSERT_TRUE(t1.ok() && t2.ok());
+  ASSERT_TRUE(client->SetCost(*t1, 1.0).ok());
+  ASSERT_TRUE(service.SetCost(*t2, 10.0).ok());
+  ASSERT_TRUE(client->Acquire(*t1, 1, lock::LockMode::kX).ok());
+  ASSERT_TRUE(service.AcquireBlocking(*t2, 2, lock::LockMode::kX).ok());
+  EXPECT_EQ(*client->Acquire(*t1, 2, lock::LockMode::kX),
+            lock::RequestOutcome::kBlocked);
+  EXPECT_EQ(*service.AcquireAsync(*t2, 1, lock::LockMode::kX),
+            lock::RequestOutcome::kBlocked);
+
+  // Only the detector thread ends the wait; nothing else happens.
+  EXPECT_TRUE(client->Await(*t1).IsDeadlockVictim());
+  EXPECT_TRUE(service.Await(*t2).ok());
+  EXPECT_TRUE(service.Commit(*t2).ok());
+}
+
+TEST(NetServiceTest, AwaitAnsweredWhenGrantRacesThePark) {
+  Harness harness = StartServer();
+  ConcurrentLockService& service = *harness.service;
+  auto waiter = Connect(harness);
+
+  // A standing releaser commits the holder a swept 0-20 us after each
+  // Await is sent — thread start-up would take longer than the Await
+  // takes to reach its park — so across iterations the grant lands before
+  // the daemon parks the Await, around the park, and after it.
+  std::atomic<uint64_t> round{0};
+  std::atomic<lock::TransactionId> holder{0};
+  std::atomic<int64_t> delay_ns{0};
+  std::atomic<bool> done{false};
+  std::thread releaser([&] {
+    for (uint64_t seen = 0; !done.load();) {
+      if (round.load() == seen) continue;
+      ++seen;
+      const auto until = std::chrono::steady_clock::now() +
+                         std::chrono::nanoseconds(delay_ns.load());
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      EXPECT_TRUE(service.Commit(holder.load()).ok());
+    }
+  });
+  struct StopReleaser {
+    std::atomic<bool>& done;
+    std::thread& releaser;
+    ~StopReleaser() {
+      done = true;
+      releaser.join();
+    }
+  } stop{done, releaser};
+
+  for (int i = 0; i < 2000; ++i) {
+    auto h = service.Begin();
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(service.AcquireBlocking(*h, 1, lock::LockMode::kX).ok());
+    auto w = waiter->Begin();
+    ASSERT_TRUE(w.ok());
+    ASSERT_EQ(*waiter->Acquire(*w, 1, lock::LockMode::kX),
+              lock::RequestOutcome::kBlocked);
+    holder = *h;
+    delay_ns = (i % 400) * 50;
+    round.fetch_add(1);
+    const Status awaited = waiter->Await(*w);
+    ASSERT_TRUE(awaited.ok()) << "iteration " << i << ": "
+                              << awaited.ToString();
+    ASSERT_TRUE(waiter->Commit(*w).ok());
+  }
 }
 
 TEST(NetServiceTest, DeadlockVictimSurfacesOverTheWire) {
@@ -418,6 +523,51 @@ TEST(NetServiceTest, InflightCapShedsWithRetryAfter) {
   // The burst overran the cap: some pings were shed, none went dark.
   EXPECT_GT(shed, 0u);
   EXPECT_GE(harness.server->stats().inflight_rejects, shed);
+}
+
+TEST(NetServiceTest, PeerThatNeverReadsIsPushedBack) {
+  Harness harness = StartServer();
+  const int fd = RawConnect(harness.port());
+  ASSERT_EQ(fcntl(fd, F_SETFL, fcntl(fd, F_GETFL, 0) | O_NONBLOCK), 0);
+
+  // Pipeline pings and never read a response.  Every ping is answered,
+  // so the daemon's unflushed output to this peer grows with every frame
+  // it reads; it must stop reading before that output is unbounded.
+  std::string burst;
+  for (uint64_t i = 0; i < 4096; ++i) {
+    Request ping;
+    ping.type = MsgType::kPing;
+    ping.req_id = i + 1;
+    burst += EncodeRequest(ping);
+  }
+  constexpr size_t kLimit = size_t{64} << 20;
+  size_t sent = 0;
+  size_t offset = 0;
+  bool pushed_back = false;
+  while (sent < kLimit) {
+    const ssize_t n = write(fd, burst.data() + offset, burst.size() - offset);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+      offset = (offset + static_cast<size_t>(n)) % burst.size();
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        << std::strerror(errno);
+    // A momentarily full socket only means the daemon reads slower than
+    // we write; one that stays full means it stopped reading us.
+    pollfd pfd{fd, POLLOUT, 0};
+    if (poll(&pfd, 1, /*timeout_ms=*/1000) == 0) {
+      pushed_back = true;
+      break;
+    }
+  }
+  close(fd);
+  EXPECT_TRUE(pushed_back) << "sent " << sent
+                           << " bytes without the daemon pushing back";
+
+  // The daemon still serves everyone else.
+  auto client = Connect(harness);
+  EXPECT_TRUE(client->Ping().ok());
 }
 
 TEST(NetServiceTest, ManyConcurrentSessions) {

@@ -71,8 +71,8 @@ TEST(StopwatchTest, ElapsedIsMonotoneAndResets) {
   int64_t first = watch.ElapsedNanos();
   EXPECT_GE(first, 0);
   // Do a little work; elapsed must not go backwards.
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  volatile uint64_t sink = 0;
+  for (uint64_t i = 0; i < 100000; ++i) sink = sink + i;
   int64_t second = watch.ElapsedNanos();
   EXPECT_GE(second, first);
   EXPECT_GE(watch.ElapsedMicros(), second / 1e3);  // unit conversions agree
