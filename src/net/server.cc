@@ -1,12 +1,12 @@
 // Copyright (c) the twbg authors. Licensed under the MIT license.
 //
-// Reactor + worker-pool implementation of net::Server (see server.h for
-// the architecture).  Lock discipline: `mu_` guards every structure
-// shared between the reactor and the workers (session queues, the run
-// queue, parked awaits, counters); service calls NEVER run under mu_;
-// `ready_mu_` is a leaf, taken under service locks; the socket-side
-// session fields (FrameReader, pending_write) belong to the reactor
-// alone and need no lock.
+// Run-to-completion implementation of net::Server (see server.h for the
+// architecture).  Lock discipline: every session structure, the parked
+// awaits and the listen fd belong to the reactor thread alone and need no
+// lock.  `mu_` guards only what other threads read or set: the counters
+// behind stats() and the drain deadline StartDrain tightens.  `ready_mu_`
+// is a leaf, taken under service locks by the unblock listener.  No
+// service call runs under either mutex.
 
 #include "net/server.h"
 
@@ -19,16 +19,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,7 +37,6 @@ namespace twbg::net {
 
 namespace {
 
-constexpr size_t kMaxWorkerThreads = 64;
 constexpr size_t kReadChunk = 64 * 1024;
 // A session is not read while more of its responses than this are
 // unflushed: TCP flow control then pushes back on a peer that never reads.
@@ -65,11 +63,6 @@ Status ServerOptions::Validate() const {
   if (host.empty()) {
     return Status::InvalidArgument("host must not be empty");
   }
-  if (worker_threads < 1 || worker_threads > kMaxWorkerThreads) {
-    return Status::InvalidArgument(
-        common::Format("worker_threads must be in [1, %zu], got %zu",
-                       kMaxWorkerThreads, worker_threads));
-  }
   if (max_sessions == 0) {
     return Status::InvalidArgument("max_sessions must be positive");
   }
@@ -94,14 +87,6 @@ class Server::Impl {
   ~Impl() {
     Stop();
     Join();
-    {
-      std::scoped_lock lock(mu_);
-      stop_workers_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& worker : workers_) {
-      if (worker.joinable()) worker.join();
-    }
     if (epoll_fd_ >= 0) close(epoll_fd_);
     if (wake_fd_ >= 0) {
       // The listener writes wake_fd_: unregister it before the fd closes.
@@ -154,9 +139,6 @@ class Server::Impl {
       return Errno("epoll_ctl(wake)");
     }
 
-    for (size_t i = 0; i < options_.worker_threads; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
     reactor_ = std::thread([this] { ReactorLoop(); });
     return Status::OK();
   }
@@ -174,7 +156,6 @@ class Server::Impl {
   ServerStats stats() const {
     std::scoped_lock lock(mu_);
     ServerStats out = stats_;
-    out.sessions_active = sessions_.size();
     out.draining = draining_.load(std::memory_order_relaxed);
     return out;
   }
@@ -184,32 +165,21 @@ class Server::Impl {
   }
 
  private:
-  // One TCP connection.  See the file comment for field ownership.
+  // One TCP connection.  Reactor-only.
   struct Session {
     int fd = -1;
-    uint64_t id = 0;
-    // Reactor-only; pending_write[write_offset..] is still unflushed.
     FrameReader reader;
-    std::string pending_write;
+    // out[write_offset..] is still unflushed.
+    std::string out;
     size_t write_offset = 0;
     uint32_t events = EPOLLIN;
-    // Guarded by Impl::mu_.
-    std::deque<Request> inbox;
-    std::string out;
-    bool executing = false;
+    // Requests decoded behind a parked Await, in arrival order.
+    std::deque<Request> backlog;
     bool awaiting = false;
     bool closing = false;
-    bool cleaned = false;
     uint64_t await_req_id = 0;
     lock::TransactionId await_tid = 0;
     std::set<lock::TransactionId> txns;
-  };
-
-  // What one executed request did, applied back under mu_ by the worker.
-  struct ExecResult {
-    Response response;
-    lock::TransactionId began = 0;
-    lock::TransactionId terminated = 0;
   };
 
   uint32_t RetryAfterUs() const {
@@ -237,8 +207,9 @@ class Server::Impl {
     [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof(one));
   }
 
-  // `tid` left kBlocked (the unblock listener) or an Await on it parked.
-  // Only the first announcement the reactor has not taken yet wakes it.
+  // `tid` left kBlocked (the unblock listener, called on whichever thread
+  // ended the wait — the reactor's own Commit or Abort included).  Only
+  // the first announcement the reactor has not taken yet wakes it.
   void Announce(lock::TransactionId tid) {
     bool wake;
     {
@@ -249,7 +220,11 @@ class Server::Impl {
     if (wake) WakeReactor();
   }
 
-  // ---- reactor side ----
+  // Counts a response appended to a session's output.
+  void CountResponse() {
+    std::scoped_lock lock(mu_);
+    ++stats_.responses;
+  }
 
   void ReactorLoop() {
     std::vector<epoll_event> events(128);
@@ -271,15 +246,19 @@ class Server::Impl {
           AcceptAll();
           continue;
         }
-        auto it = sessions_by_fd_.find(fd);
-        if (it == sessions_by_fd_.end()) continue;
-        const std::shared_ptr<Session>& session = it->second;
+        // A session closed earlier in this batch is gone from the map; its
+        // fd stays open until RetireClosed, so the number is not reused.
+        auto it = sessions_.find(fd);
+        if (it == sessions_.end()) continue;
+        Session& session = *it->second;
         if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-          MarkClosing(*session);
+          Close(session);
           continue;
         }
-        if (events[i].events & EPOLLIN) OnReadable(*session);
-        if (events[i].events & EPOLLOUT) FlushWrites(*session);
+        if (events[i].events & EPOLLIN) OnReadable(session);
+        if (!session.closing && (events[i].events & EPOLLOUT)) {
+          FlushWrites(session);
+        }
       }
       if (Tick()) break;
     }
@@ -300,20 +279,13 @@ class Server::Impl {
       const int fd =
           accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) break;  // EAGAIN, or listen fd already closed by drain
-      bool reject;
-      {
-        std::scoped_lock lock(mu_);
-        reject = sessions_.size() >= options_.max_sessions ||
-                 draining_.load(std::memory_order_relaxed);
-      }
-      if (reject) {
+      if (sessions_.size() >= options_.max_sessions ||
+          draining_.load(std::memory_order_relaxed)) {
         close(fd);
         continue;
       }
       const int one = 1;
       setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      auto session = std::make_shared<Session>();
-      session->fd = fd;
       epoll_event ev{};
       ev.events = EPOLLIN;
       ev.data.fd = fd;
@@ -321,15 +293,18 @@ class Server::Impl {
         close(fd);
         continue;
       }
-      sessions_by_fd_[fd] = session;
+      auto session = std::make_unique<Session>();
+      session->fd = fd;
+      sessions_[fd] = std::move(session);
       std::scoped_lock lock(mu_);
-      session->id = ++stats_.sessions_total;
-      sessions_[fd] = session;
+      ++stats_.sessions_total;
+      ++stats_.sessions_active;
     }
   }
 
-  // One read per readiness event: level-triggered epoll reports what is
-  // left, and Tick's flush runs in between, so a session whose output
+  // One read per readiness event keeps sessions fair; level-triggered
+  // epoll reports what is left.  Every complete frame read is executed and
+  // its response flushed before this returns, so a session whose output
   // backs up stops being read within one chunk (FlushWrites).
   void OnReadable(Session& session) {
     char chunk[kReadChunk];
@@ -337,110 +312,129 @@ class Server::Impl {
     if (n > 0) {
       session.reader.Append(chunk, static_cast<size_t>(n));
       DrainFrames(session);
+      if (!session.closing) FlushWrites(session);
       return;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    MarkClosing(session);  // EOF or hard error: the peer is gone
+    Close(session);  // EOF or hard error: the peer is gone
   }
 
-  // Splits and enqueues every complete frame; a corrupt stream closes the
-  // session.
+  // Decodes every complete frame and serves it in arrival order: executed
+  // at once, or queued behind a parked Await.  A corrupt stream closes
+  // the session.
   void DrainFrames(Session& session) {
     std::string payload;
-    while (true) {
+    while (!session.closing) {
       Status next = session.reader.Next(&payload);
       if (next.IsWouldBlock()) return;
       if (!next.ok()) {
-        ProtocolError(session, next, /*req_id=*/0);
+        ProtocolError(session, next);
         return;
       }
       Request request;
       Status decoded = DecodeRequest(payload, &request);
       if (!decoded.ok()) {
-        ProtocolError(session, decoded, /*req_id=*/0);
+        ProtocolError(session, decoded);
         return;
       }
-      std::scoped_lock lock(mu_);
-      if (session.closing) return;
-      ++stats_.requests;
-      const size_t inflight = session.inbox.size() +
-                              (session.executing ? 1 : 0) +
-                              (session.awaiting ? 1 : 0);
-      if (inflight >= options_.max_inflight_per_session) {
-        ++stats_.inflight_rejects;
-        Response shed;
-        shed.type = request.type;
-        shed.req_id = request.req_id;
-        SetResponseStatus(
-            Status::ResourceExhausted(common::Format(
-                "session in-flight limit (%zu) reached; retry after backoff",
-                options_.max_inflight_per_session)),
-            RetryAfterUs(), &shed);
-        session.out += EncodeResponse(shed);
-        ++stats_.responses;
+      {
+        std::scoped_lock lock(mu_);
+        ++stats_.requests;
+      }
+      if (!session.awaiting) {
+        Dispatch(session, std::move(request));
         continue;
       }
-      session.inbox.push_back(std::move(request));
-      ScheduleLocked(sessions_[session.fd]);
+      // The parked Await is in flight too.
+      if (session.backlog.size() + 1 < options_.max_inflight_per_session) {
+        session.backlog.push_back(std::move(request));
+        continue;
+      }
+      {
+        std::scoped_lock lock(mu_);
+        ++stats_.inflight_rejects;
+      }
+      Refuse(session, request,
+             common::Format(
+                 "session in-flight limit (%zu) reached; retry after backoff",
+                 options_.max_inflight_per_session));
     }
   }
 
-  // A malformed frame: answer with the decode error (best effort — the
-  // correlation id may be unrecoverable) and drop the connection; there
-  // is no way to resynchronize a corrupt length-prefixed stream.
-  void ProtocolError(Session& session, const Status& error, uint64_t req_id) {
-    std::scoped_lock lock(mu_);
-    ++stats_.protocol_errors;
+  // Answers `request` kResourceExhausted with the retry-after hint
+  // instead of executing it.
+  void Refuse(Session& session, const Request& request, std::string why) {
+    Response response;
+    response.type = request.type;
+    response.req_id = request.req_id;
+    SetResponseStatus(Status::ResourceExhausted(std::move(why)),
+                      RetryAfterUs(), &response);
+    session.out += EncodeResponse(response);
+    CountResponse();
+  }
+
+  // A malformed frame: answer with the decode error (the correlation id
+  // is unrecoverable, so it is 0) and drop the connection; there is no
+  // way to resynchronize a corrupt length-prefixed stream.
+  void ProtocolError(Session& session, const Status& error) {
     Response response;
     response.type = MsgType::kPing;
-    response.req_id = req_id;
     SetResponseStatus(error, 0, &response);
     session.out += EncodeResponse(response);
-    ++stats_.responses;
-    MarkClosingLocked(session);
-  }
-
-  void MarkClosing(Session& session) {
-    std::scoped_lock lock(mu_);
-    MarkClosingLocked(session);
-  }
-
-  void MarkClosingLocked(Session& session) {
-    if (session.closing) return;
-    session.closing = true;
-    if (session.awaiting) {  // unpark; Cleanup answers the await
-      auto [first, last] = parked_.equal_range(session.await_tid);
-      parked_.erase(std::find_if(first, last, [&session](const auto& entry) {
-        return entry.second.get() == &session;
-      }));
-      session.awaiting = false;
-    }
-    auto it = sessions_.find(session.fd);
-    if (it != sessions_.end()) ScheduleLocked(it->second);
-  }
-
-  // Hands the session to a worker when it has runnable work and no
-  // worker owns it.  mu_ held.
-  void ScheduleLocked(const std::shared_ptr<Session>& session) {
-    if (session->executing || session->awaiting || session->cleaned) return;
-    if (session->inbox.empty() && !session->closing) return;
-    session->executing = true;
-    run_queue_.push_back(session);
-    work_cv_.notify_one();
-  }
-
-  // Moves worker-produced bytes into the reactor-owned write buffer and
-  // pushes them into the socket.  Arms EPOLLOUT while bytes remain, and
-  // EPOLLIN unless more than kOutputHighWater of them do.
-  void FlushWrites(Session& session) {
     {
       std::scoped_lock lock(mu_);
-      if (!session.out.empty()) {
-        session.pending_write += session.out;
-        session.out.clear();
-      }
+      ++stats_.protocol_errors;
+      ++stats_.responses;
     }
-    std::string& buffer = session.pending_write;
+    Close(session);
+  }
+
+  // Executes one request, or parks it if it is an Await whose wait has
+  // not ended yet.
+  void Dispatch(Session& session, Request request) {
+    if (request.type != MsgType::kAwait) {
+      session.out += EncodeResponse(Execute(session, request));
+      CountResponse();
+      return;
+    }
+    // Every exit from kBlocked after this State read is announced and
+    // finds the park; a wait that already ended is answered here.
+    const Status status =
+        txn::AwaitStatus(request.tid, service_->State(request.tid));
+    if (!status.IsWouldBlock()) {
+      AppendAwaitAnswer(session, request.req_id, status);
+      return;
+    }
+    session.awaiting = true;
+    session.await_req_id = request.req_id;
+    session.await_tid = request.tid;
+    parked_.emplace(request.tid, &session);
+  }
+
+  // Runs the backlog in order until it is empty or an Await parks again.
+  void RunBacklog(Session& session) {
+    while (!session.awaiting && !session.backlog.empty()) {
+      Request request = std::move(session.backlog.front());
+      session.backlog.pop_front();
+      Dispatch(session, std::move(request));
+    }
+  }
+
+  void AppendAwaitAnswer(Session& session, uint64_t req_id,
+                         const Status& status) {
+    Response response;
+    response.type = MsgType::kAwait;
+    response.req_id = req_id;
+    SetResponseStatus(status, 0, &response);
+    session.out += EncodeResponse(response);
+    CountResponse();
+  }
+
+  // Pushes the session's output into the socket from write_offset.  Arms
+  // EPOLLOUT while bytes remain, and EPOLLIN unless more than
+  // kOutputHighWater of them do.
+  void FlushWrites(Session& session) {
+    std::string& buffer = session.out;
     while (session.write_offset < buffer.size()) {
       // MSG_NOSIGNAL: a reset peer is an EPIPE, not a process SIGPIPE.
       const ssize_t n = send(session.fd, buffer.data() + session.write_offset,
@@ -451,14 +445,18 @@ class Server::Impl {
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      MarkClosing(session);  // write error: the peer is gone
+      Close(session);  // write error: the peer is gone
       return;
     }
-    // Compact once the flushed prefix dominates (amortized O(1) appends).
-    if (session.write_offset > buffer.size() / 2) {
+    if (session.write_offset == buffer.size()) {
+      buffer.clear();
+      session.write_offset = 0;
+    } else if (session.write_offset > buffer.size() / 2) {
+      // Compact once the flushed prefix dominates (amortized O(1) appends).
       buffer.erase(0, session.write_offset);
       session.write_offset = 0;
     }
+    if (session.closing) return;  // Close's last-gasp flush
     uint32_t events = 0;
     if (!buffer.empty()) events |= EPOLLOUT;
     if (buffer.size() <= kOutputHighWater) events |= EPOLLIN;
@@ -470,181 +468,135 @@ class Server::Impl {
     session.events = events;
   }
 
-  // One reactor housekeeping round: answer announced awaits, flush
-  // writes, retire cleaned sessions, advance the drain.  Returns true when
+  // One reactor housekeeping round: answer announced awaits, advance the
+  // drain, close the fds of sessions closed this pass.  Returns true when
   // the server is fully drained and the reactor should exit.
   bool Tick() {
     AnswerAnnouncedAwaits();
-
-    std::vector<std::shared_ptr<Session>> flush;
-    std::vector<std::shared_ptr<Session>> retire;
-    {
-      std::scoped_lock lock(mu_);
-      for (auto& [fd, session] : sessions_) {
-        if (session->cleaned) {
-          retire.push_back(session);
-        } else if (!session->out.empty()) {
-          flush.push_back(session);
-        }
-      }
+    const bool draining = draining_.load(std::memory_order_relaxed);
+    if (draining) {
+      // Before the loop can end, so Join() never returns with the
+      // listener still open.
+      CloseListener();
+      AdvanceDrain();
     }
-    for (const auto& session : flush) FlushWrites(*session);
-    for (const auto& session : retire) {
-      FlushWrites(*session);  // last-gasp delivery of cleanup responses
-      {
-        std::scoped_lock lock(mu_);
-        sessions_.erase(session->fd);
-      }
-      sessions_by_fd_.erase(session->fd);
-      close(session->fd);
-    }
-
-    if (!draining_.load(std::memory_order_relaxed)) return false;
-    // Before AdvanceDrain can end the loop, so Join() never returns with
-    // the listener still open.
-    CloseListener();
-    return AdvanceDrain();
+    RetireClosed();
+    return draining && sessions_.empty();
   }
 
-  // Answers the awaits parked on announced tids that are not kBlocked.
+  // Answers the awaits parked on announced tids that are not kBlocked,
+  // then runs what queued up behind each.
   void AnswerAnnouncedAwaits() {
     std::vector<lock::TransactionId> announced;
     {
       std::scoped_lock lock(ready_mu_);
       announced.swap(ready_);
     }
+    std::vector<Session*> answered;
     for (lock::TransactionId tid : announced) {
-      {
-        std::scoped_lock lock(mu_);
-        if (parked_.count(tid) == 0) continue;
-      }
+      auto [first, last] = parked_.equal_range(tid);
+      if (first == last) continue;
       const Status status = txn::AwaitStatus(tid, service_->State(tid));
       if (status.IsWouldBlock()) continue;  // the next exit announces it
-      std::scoped_lock lock(mu_);
-      auto [first, last] = parked_.equal_range(tid);
-      for (auto it = first; it != last; ++it) {
-        Session& session = *it->second;
-        Response response;
-        response.type = MsgType::kAwait;
-        // Answered here, so Cleanup owes it no response.
-        response.req_id = std::exchange(session.await_req_id, 0);
-        SetResponseStatus(status, 0, &response);
-        session.awaiting = false;
-        session.out += EncodeResponse(response);
-        ++stats_.responses;
-        ScheduleLocked(it->second);
-      }
+      answered.clear();
+      for (auto it = first; it != last; ++it) answered.push_back(it->second);
       parked_.erase(first, last);
+      for (Session* session : answered) {
+        session->awaiting = false;
+        AppendAwaitAnswer(*session, session->await_req_id, status);
+        RunBacklog(*session);
+        FlushWrites(*session);
+      }
     }
   }
 
   // Drain engine: once every in-flight transaction has terminated — or
   // the deadline has passed — close every session (their cleanup aborts
-  // whatever is left).  Done when no session remains.
-  bool AdvanceDrain() {
-    std::vector<std::shared_ptr<Session>> open;
+  // whatever is left).
+  void AdvanceDrain() {
     std::chrono::steady_clock::time_point deadline_at;
     {
       std::scoped_lock lock(mu_);
-      if (sessions_.empty() && run_queue_.empty()) return true;
-      for (auto& [fd, session] : sessions_) open.push_back(session);
       deadline_at = drain_deadline_at_;  // StartDrain may tighten it
     }
-    const bool deadline_passed =
-        std::chrono::steady_clock::now() >= deadline_at;
-    bool any_live = false;
-    if (!deadline_passed) {
-      for (const auto& session : open) {
-        std::vector<lock::TransactionId> txns;
-        {
-          std::scoped_lock lock(mu_);
-          txns.assign(session->txns.begin(), session->txns.end());
-          // A parked await or queued work counts as in-flight even if
-          // its transaction is technically terminated already.
-          if (session->awaiting || session->executing ||
-              !session->inbox.empty()) {
-            any_live = true;
-          }
-        }
-        for (lock::TransactionId tid : txns) {
+    if (std::chrono::steady_clock::now() < deadline_at) {
+      for (const auto& [fd, session] : sessions_) {
+        // A parked await or queued work counts as in-flight even if its
+        // transaction is technically terminated already.
+        if (session->awaiting || !session->backlog.empty()) return;
+        for (lock::TransactionId tid : session->txns) {
           Result<txn::TxnState> state = service_->State(tid);
           if (state.ok() && (*state == txn::TxnState::kActive ||
                              *state == txn::TxnState::kBlocked)) {
-            any_live = true;
-            break;
+            return;  // keep waiting for clients to finish
           }
         }
-        if (any_live) break;
       }
-      if (any_live) return false;  // keep waiting for clients to finish
     }
-    std::scoped_lock lock(mu_);
-    for (const auto& session : open) MarkClosingLocked(*session);
-    return false;  // exit on a later tick, once every cleanup retired
+    std::vector<Session*> open;
+    for (const auto& [fd, session] : sessions_) open.push_back(session.get());
+    for (Session* session : open) Close(*session);
   }
 
-  // ---- worker side ----
-
-  void WorkerLoop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      work_cv_.wait(lock, [this] {
-        return stop_workers_ || !run_queue_.empty();
-      });
-      if (run_queue_.empty()) {
-        if (stop_workers_) return;
-        continue;
-      }
-      std::shared_ptr<Session> session = run_queue_.front();
-      run_queue_.pop_front();
-      // Drain this session's queue; `executing` keeps every other worker
-      // (and the scheduler) away until we put it down.
-      while (true) {
-        if (session->closing) {
-          lock.unlock();
-          Cleanup(*session);
-          lock.lock();
-          session->cleaned = true;
-          session->executing = false;
-          break;
-        }
-        if (session->inbox.empty()) {
-          session->executing = false;
-          break;
-        }
-        Request request = std::move(session->inbox.front());
-        session->inbox.pop_front();
-        if (request.type == MsgType::kAwait) {
-          // Parked, not executed: the reactor answers it once its tid is
-          // announced.  The park announces the tid itself, and the reactor
-          // reads the state only after that, so a wait that already ended
-          // is answered too.
-          session->awaiting = true;
-          session->await_req_id = request.req_id;
-          session->await_tid = request.tid;
-          parked_.emplace(request.tid, session);
-          Announce(request.tid);
-          session->executing = false;
-          break;
-        }
-        lock.unlock();
-        ExecResult result = Execute(request);
-        lock.lock();
-        if (result.began != 0) session->txns.insert(result.began);
-        if (result.terminated != 0) session->txns.erase(result.terminated);
-        session->out += EncodeResponse(result.response);
-        ++stats_.responses;
-      }
-      WakeReactor();  // new bytes to flush / a cleaned session to retire
+  // Dead-peer / drain cleanup: abort every live transaction the session
+  // owns (releasing its locks and unblocking waiters), answer the parked
+  // await and the backlog so no request is silently dropped, flush what
+  // the socket takes, and unregister the session.  Its fd is closed by
+  // RetireClosed at the end of the pass.
+  void Close(Session& session) {
+    if (session.closing) return;
+    session.closing = true;
+    uint64_t aborted = 0;
+    for (lock::TransactionId tid : session.txns) {
+      // Abort is a no-op error for already-terminated transactions
+      // (committed, or earlier deadlock victims) — only live ones count
+      // as orphans.
+      if (service_->Abort(tid).ok()) ++aborted;
     }
+    session.txns.clear();
+    if (session.awaiting) {
+      auto [first, last] = parked_.equal_range(session.await_tid);
+      for (auto it = first; it != last; ++it) {
+        if (it->second == &session) {
+          parked_.erase(it);
+          break;
+        }
+      }
+      session.awaiting = false;
+      AppendAwaitAnswer(
+          session, session.await_req_id,
+          Status::DeadlockVictim(common::Format(
+              "T%u aborted: session closed while waiting",
+              session.await_tid)));
+    }
+    for (const Request& request : session.backlog) {
+      Refuse(session, request, "session closing; request not executed");
+    }
+    session.backlog.clear();
+    {
+      std::scoped_lock lock(mu_);
+      stats_.orphan_aborts += aborted;
+      --stats_.sessions_active;
+    }
+    FlushWrites(session);  // last-gasp delivery of the cleanup responses
+    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, session.fd, nullptr);
+    auto it = sessions_.find(session.fd);
+    closed_.push_back(std::move(it->second));
+    sessions_.erase(it);
   }
 
-  // Executes one decoded request against the service.  No locks held.
-  ExecResult Execute(const Request& request) {
-    ExecResult result;
-    result.response.type = request.type;
-    result.response.req_id = request.req_id;
-    Response& response = result.response;
+  void RetireClosed() {
+    for (const auto& session : closed_) close(session->fd);
+    closed_.clear();
+  }
+
+  // Executes one non-Await request against the service.  Every one is
+  // non-blocking (Acquire is AcquireAsync); kDetect and kView are admin
+  // requests that may hold the reactor for one detection pass or render.
+  Response Execute(Session& session, const Request& request) {
+    Response response;
+    response.type = request.type;
+    response.req_id = request.req_id;
     switch (request.type) {
       case MsgType::kBegin: {
         if (draining_.load(std::memory_order_relaxed)) {
@@ -657,7 +609,7 @@ class Server::Impl {
         Result<lock::TransactionId> tid = service_->Begin();
         if (tid.ok()) {
           response.tid = *tid;
-          result.began = *tid;
+          session.txns.insert(*tid);
         } else {
           SetResponseStatus(tid.status(), RetryAfterUs(), &response);
         }
@@ -674,17 +626,17 @@ class Server::Impl {
         break;
       }
       case MsgType::kAwait:
-        break;  // parked by the worker loop, never executed
+        break;  // parked by Dispatch, never executed
       case MsgType::kCommit: {
         Status committed = service_->Commit(request.tid);
         SetResponseStatus(committed, 0, &response);
-        if (committed.ok()) result.terminated = request.tid;
+        if (committed.ok()) session.txns.erase(request.tid);
         break;
       }
       case MsgType::kAbort: {
         Status aborted = service_->Abort(request.tid);
         SetResponseStatus(aborted, 0, &response);
-        if (aborted.ok()) result.terminated = request.tid;
+        if (aborted.ok()) session.txns.erase(request.tid);
         break;
       }
       case MsgType::kState: {
@@ -730,7 +682,7 @@ class Server::Impl {
         response.stats.resolutions_rejected =
             service_->resolutions_rejected();
         std::scoped_lock lock(mu_);
-        response.stats.sessions_active = sessions_.size();
+        response.stats.sessions_active = stats_.sessions_active;
         response.stats.sessions_total = stats_.sessions_total;
         response.stats.orphan_aborts = stats_.orphan_aborts;
         break;
@@ -738,59 +690,7 @@ class Server::Impl {
       case MsgType::kPing:
         break;  // kOk
     }
-    return result;
-  }
-
-  // Dead-peer / drain cleanup, run as the session's final serialized
-  // task: abort every live transaction the session owns (releasing its
-  // locks and unblocking waiters), then answer anything still queued so
-  // no request is silently dropped.  No locks held on entry.
-  void Cleanup(Session& session) {
-    std::vector<lock::TransactionId> txns;
-    std::deque<Request> unanswered;
-    uint64_t await_req_id = 0;
-    lock::TransactionId await_tid = 0;
-    {
-      std::scoped_lock lock(mu_);
-      txns.assign(session.txns.begin(), session.txns.end());
-      session.txns.clear();
-      unanswered.swap(session.inbox);
-      // MarkClosingLocked unparked an unanswered await, but the request
-      // itself still needs its response.
-      await_req_id = std::exchange(session.await_req_id, 0);
-      await_tid = session.await_tid;
-    }
-    uint64_t aborted = 0;
-    for (lock::TransactionId tid : txns) {
-      // Abort is a no-op error for already-terminated transactions
-      // (committed, or earlier deadlock victims) — only live ones count
-      // as orphans.
-      if (service_->Abort(tid).ok()) ++aborted;
-    }
-    std::string responses;
-    if (await_req_id != 0) {
-      Response response;
-      response.type = MsgType::kAwait;
-      response.req_id = await_req_id;
-      SetResponseStatus(
-          Status::DeadlockVictim(common::Format(
-              "T%u aborted: session closed while waiting", await_tid)),
-          0, &response);
-      responses += EncodeResponse(response);
-    }
-    for (const Request& request : unanswered) {
-      Response response;
-      response.type = request.type;
-      response.req_id = request.req_id;
-      SetResponseStatus(
-          Status::ResourceExhausted("session closing; request not executed"),
-          RetryAfterUs(), &response);
-      responses += EncodeResponse(response);
-    }
-    std::scoped_lock lock(mu_);
-    stats_.orphan_aborts += aborted;
-    stats_.responses += (await_req_id != 0 ? 1 : 0) + unanswered.size();
-    session.out += responses;
+    return response;
   }
 
   ServerOptions options_;
@@ -802,29 +702,24 @@ class Server::Impl {
   int wake_fd_ = -1;
   uint16_t port_ = 0;
 
-  std::thread reactor_;
-  std::vector<std::thread> workers_;
-
-  // Reactor-only view of the sessions (lock-free lookups; the reactor is
-  // the single mutator of both maps, but mutations also hold mu_ so
-  // stats() can size sessions_ safely).
-  std::map<int, std::shared_ptr<Session>> sessions_by_fd_;
+  // Reactor-only: the open sessions by fd, the sessions closed this pass
+  // (fds still open, see RetireClosed), and parked awaits by transaction
+  // id.
+  std::unordered_map<int, std::unique_ptr<Session>> sessions_;
+  std::vector<std::unique_ptr<Session>> closed_;
+  std::multimap<lock::TransactionId, Session*> parked_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::map<int, std::shared_ptr<Session>> sessions_;
-  std::deque<std::shared_ptr<Session>> run_queue_;
-  // Parked awaits by transaction id.
-  std::multimap<lock::TransactionId, std::shared_ptr<Session>> parked_;
-  bool stop_workers_ = false;
-  ServerStats stats_;
+  ServerStats stats_;  // `draining` is read from draining_ instead
+  std::chrono::steady_clock::time_point drain_deadline_at_{};
 
   // Announced tids not yet looked at by the reactor (see Announce).
   std::mutex ready_mu_;
   std::vector<lock::TransactionId> ready_;
 
   std::atomic<bool> draining_{false};
-  std::chrono::steady_clock::time_point drain_deadline_at_{};
+
+  std::thread reactor_;
 };
 
 Server::Server(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}

@@ -4,25 +4,28 @@
 //
 // Architecture (docs/SERVICE.md has the full protocol):
 //
-//   * One reactor thread owns the sockets: epoll-driven accept, read,
-//     frame reassembly (wire::FrameReader) and write flushing.  Its only
-//     service calls are State reads.
-//   * A small worker pool executes decoded requests.  Requests of one
-//     session run strictly FIFO and never concurrently (an `executing`
-//     flag hands the whole per-session queue to one worker at a time),
-//     so no two service calls for the same transaction can race — which
-//     is also what makes dead-peer cleanup safe: it runs as the
-//     session's final serialized task.
-//   * Blocked acquires never park a thread: Acquire maps to
-//     AcquireAsync, and Await parks the *session* by transaction id.  As
-//     the service's unblock listener the server hears of every exit from
-//     kBlocked and answers just the awaits parked on it; nothing polls.
-//     One reactor thread multiplexes every blocked client.
+//   * One reactor thread runs every request to completion: epoll-driven
+//     accept, read and frame reassembly (wire::FrameReader), then the
+//     service call, then the encoded response into the session's write
+//     buffer, flushed before the reactor turns to the next event.  A
+//     session's requests therefore execute strictly FIFO and never
+//     concurrently, so no two service calls for one transaction race.
+//     Every wire request is non-blocking: Acquire maps to AcquireAsync
+//     (one shard mutex, never sleeps).  kDetect and kView are admin
+//     requests and may hold the reactor for one detection pass or render.
+//   * An Await is parked, not executed: the reactor keys the *session* by
+//     transaction id and answers at once if the wait has already ended.
+//     As the service's unblock listener the server hears of every later
+//     exit from kBlocked (through an eventfd) and answers just the awaits
+//     parked on it; nothing polls.  Frames that arrive behind a parked
+//     Await wait in a per-session backlog and run, in order, right after
+//     it is answered.
 //
 // Session model: one TCP connection == one session.  Transactions begun
 // on a session belong to it; when the peer dies (EOF, read/write error,
 // or a protocol violation) every live transaction of the session is
-// aborted so an orphaned holder cannot wedge the TWBG.
+// aborted so an orphaned holder cannot wedge the TWBG.  The reactor runs
+// that cleanup inline and closes the session in the same pass.
 //
 // Backpressure: admission sheds from the service (kResourceExhausted)
 // and the per-session in-flight cap surface as responses carrying
@@ -56,20 +59,18 @@ struct ServerOptions {
   uint16_t port = 0;
   /// Accepted-connection cap; further accepts are closed immediately.
   size_t max_sessions = 4096;
-  /// Per-session cap on decoded-but-unanswered requests; beyond it a
-  /// request is answered kResourceExhausted with `retry_after` instead
-  /// of being queued.
+  /// Per-session cap on decoded-but-unanswered requests (a parked Await
+  /// and the requests queued behind it); beyond it a request is answered
+  /// kResourceExhausted with `retry_after` instead of being queued.
   size_t max_inflight_per_session = 64;
-  /// Worker threads executing service calls, in [1, 64].
-  size_t worker_threads = 2;
   /// How long BeginDrain lets in-flight transactions finish before
   /// aborting them.
   std::chrono::milliseconds drain_deadline{2000};
   /// The retry-after hint stamped on kResourceExhausted responses.
   std::chrono::microseconds retry_after{1000};
 
-  /// Rejects an empty host, worker_threads outside [1, 64], zero
-  /// max_sessions / max_inflight_per_session.
+  /// Rejects an empty host, zero max_sessions / max_inflight_per_session
+  /// and negative durations.
   Status Validate() const;
 };
 
@@ -104,7 +105,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and spawns the reactor and worker threads.
+  /// Binds, listens and spawns the reactor thread.
   Status Start();
 
   /// The bound port (after Start; useful with options.port == 0).

@@ -5,7 +5,8 @@
 // test needs to violate the protocol or pipeline requests).  Covers the
 // session lifecycle, dead-peer cleanup releasing locks and unblocking
 // waiters, graceful drain (no request silently dropped), the per-session
-// in-flight cap, and protocol-error handling.
+// in-flight cap, request order behind a parked Await, and protocol-error
+// handling.
 
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -73,12 +74,6 @@ std::unique_ptr<TcpClient> Connect(const Harness& harness) {
 TEST(ServerOptionsTest, ValidateRejectsOutOfDomain) {
   ServerOptions options;
   options.host = "";
-  EXPECT_TRUE(options.Validate().IsInvalidArgument());
-  options = {};
-  options.worker_threads = 0;
-  EXPECT_TRUE(options.Validate().IsInvalidArgument());
-  options = {};
-  options.worker_threads = 65;
   EXPECT_TRUE(options.Validate().IsInvalidArgument());
   options = {};
   options.max_sessions = 0;
@@ -392,6 +387,18 @@ TEST(NetServiceTest, DrainedServerRefusesConnections) {
   close(fd);
 }
 
+// A client whose server has gone away gets errors back, never a
+// process-killing SIGPIPE: the second call writes to a reset connection.
+TEST(NetServiceTest, ClientOfAStoppedServerGetsErrors) {
+  Harness harness = StartServer();
+  auto client = Connect(harness);
+  ASSERT_TRUE(client->Ping().ok());
+  harness.server->Stop();
+  harness.server->Join();
+  EXPECT_FALSE(client->Ping().ok());
+  EXPECT_FALSE(client->Ping().ok());
+}
+
 // Raw-socket helpers for the protocol-violation and pipelining tests.
 int RawConnect(uint16_t port) {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
@@ -525,6 +532,85 @@ TEST(NetServiceTest, InflightCapShedsWithRetryAfter) {
   EXPECT_GE(harness.server->stats().inflight_rejects, shed);
 }
 
+// Frames pipelined behind a parked Await wait in the session's backlog
+// and run in arrival order once the Await is answered: every response
+// comes back in request order, the Await's before the pings behind it.
+TEST(NetServiceTest, RequestsBehindAParkedAwaitKeepTheirOrder) {
+  Harness harness = StartServer();
+  ConcurrentLockService& service = *harness.service;
+  auto h = service.Begin();
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(service.AcquireBlocking(*h, 1, lock::LockMode::kX).ok());
+
+  const int fd = RawConnect(harness.port());
+  FrameReader reader;
+  auto next_response = [&](Response* response) {
+    std::string payload;
+    while (!reader.Next(&payload).ok()) {
+      char chunk[4096];
+      const ssize_t n = read(fd, chunk, sizeof(chunk));
+      ASSERT_GT(n, 0) << "server closed before answering everything";
+      reader.Append(chunk, static_cast<size_t>(n));
+    }
+    ASSERT_TRUE(DecodeResponse(payload, response).ok());
+  };
+
+  Request begin;
+  begin.type = MsgType::kBegin;
+  begin.req_id = 1;
+  SendAll(fd, EncodeRequest(begin));
+  Response began;
+  ASSERT_NO_FATAL_FAILURE(next_response(&began));
+  ASSERT_EQ(began.code, StatusCode::kOk);
+
+  std::string burst;
+  Request acquire;
+  acquire.type = MsgType::kAcquire;
+  acquire.req_id = 2;
+  acquire.tid = began.tid;
+  acquire.rid = 1;
+  acquire.mode = lock::LockMode::kX;
+  burst += EncodeRequest(acquire);
+  Request await;
+  await.type = MsgType::kAwait;
+  await.req_id = 3;
+  await.tid = began.tid;
+  burst += EncodeRequest(await);
+  std::vector<uint64_t> sent = {2, 3};
+  for (uint64_t i = 0; i < 8; ++i) {
+    Request ping;
+    ping.type = MsgType::kPing;
+    ping.req_id = 100 + i;
+    burst += EncodeRequest(ping);
+    sent.push_back(ping.req_id);
+  }
+  SendAll(fd, burst);
+
+  // Unblock only once the daemon has decoded the whole burst, so the
+  // pings really are queued behind the parked Await.
+  const uint64_t expected_requests = 1 + sent.size();
+  for (int i = 0; harness.server->stats().requests < expected_requests; ++i) {
+    ASSERT_LT(i, 2000) << "the daemon never decoded the burst";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(service.Commit(*h).ok());
+
+  std::vector<uint64_t> answered;
+  for (size_t i = 0; i < sent.size(); ++i) {
+    Response response;
+    ASSERT_NO_FATAL_FAILURE(next_response(&response));
+    if (response.code == StatusCode::kResourceExhausted) continue;  // shed
+    ASSERT_EQ(response.code, StatusCode::kOk)
+        << "req " << response.req_id << ": " << response.message;
+    if (response.req_id == 2) {
+      EXPECT_EQ(response.outcome, lock::RequestOutcome::kBlocked);
+    }
+    answered.push_back(response.req_id);
+  }
+  close(fd);
+  EXPECT_EQ(answered, sent);
+}
+
 TEST(NetServiceTest, PeerThatNeverReadsIsPushedBack) {
   Harness harness = StartServer();
   const int fd = RawConnect(harness.port());
@@ -571,9 +657,7 @@ TEST(NetServiceTest, PeerThatNeverReadsIsPushedBack) {
 }
 
 TEST(NetServiceTest, ManyConcurrentSessions) {
-  ServerOptions options;
-  options.worker_threads = 4;
-  Harness harness = StartServer(options);
+  Harness harness = StartServer();
 
   constexpr int kClients = 32;
   std::vector<std::thread> threads;

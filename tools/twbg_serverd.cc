@@ -33,7 +33,6 @@ constexpr const char* kUsage = R"(usage: twbg-serverd [options]
   --shards=N         lock-table shards, 1..64          (default 4)
   --period-us=N      detection period, microseconds    (default 2000)
   --detect-threads=N parallel-pass worker threads      (default 0 = inline)
-  --workers=N        request worker threads            (default 2)
   --max-sessions=N   accepted-connection cap           (default 4096)
   --max-inflight=N   per-session unanswered-request cap (default 64)
   --drain-ms=N       graceful-drain deadline, ms       (default 2000)
@@ -88,9 +87,6 @@ int main(int argc, char** argv) {
     } else if (const char* v = FlagValue(arg, "--detect-threads")) {
       if (!ParseU64(v, &n)) goto bad_flag;
       service_options.detection_threads = n;
-    } else if (const char* v = FlagValue(arg, "--workers")) {
-      if (!ParseU64(v, &n)) goto bad_flag;
-      server_options.worker_threads = n;
     } else if (const char* v = FlagValue(arg, "--max-sessions")) {
       if (!ParseU64(v, &n)) goto bad_flag;
       server_options.max_sessions = n;
