@@ -190,12 +190,12 @@ void Driver(uint16_t port, size_t count, double txns_per_sec, uint64_t seed,
     }
 
     if (result->txns % kChurnEvery == 0) {
-      // Churn: retire the connection just used and dial a fresh one.
-      const size_t victim_index = (cursor - 1) % clients.size();
-      clients[victim_index].reset();
+      // Churn, make-before-break: dial a fresh connection and Ping it, so
+      // the server has registered it, before retiring the one just used.
+      // A sessions sample then never lands in a gap between the two.
       auto fresh = net::TcpClient::Create(options);
-      if (fresh.ok()) {
-        clients[victim_index] = std::move(*fresh);
+      if (fresh.ok() && (*fresh)->Ping().ok()) {
+        clients[(cursor - 1) % clients.size()] = std::move(*fresh);
         ++result->churns;
       }
     }

@@ -10,16 +10,18 @@
 //   $ ./deadlock_repl --remote=127.0.0.1:7762 scenario.twbg
 //   $ ./deadlock_repl --service scenario.twbg
 //
-// Back ends:
-//   (default)          the classic in-process ScriptRunner over a raw
-//                      lock manager + periodic detector;
-//   --service          a periodic-engine ConcurrentLockService driven
-//                      through InProcessClient (same surface as remote);
-//   --remote=HOST:PORT a live twbg-serverd daemon via net::TcpClient.
+// Back ends of the one script interpreter (core::ScriptRunner):
+//   (default)          core::LockManagerBackend, a raw lock manager +
+//                      periodic detector;
+//   --service          txn::LockClientBackend over InProcessClient and a
+//                      periodic-engine ConcurrentLockService (same surface
+//                      as remote);
+//   --remote=HOST:PORT txn::LockClientBackend over net::TcpClient and a
+//                      live twbg-serverd daemon.
 //
 // --trace-out=<file> streams every structured event (lock grants/blocks,
 // detection passes, resolutions) as JSON lines; the `obs` command prints
-// the aggregated report at any point.  Both are classic-back-end only:
+// the aggregated report at any point.  Both are raw-back-end only:
 // through a LockClient the event stream lives in the service process.
 //
 // With no arguments and a TTY, type `help` for the command list.
@@ -30,7 +32,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "core/script.h"
@@ -40,68 +41,14 @@
 
 namespace {
 
-constexpr const char* kHelp = R"(commands:
-  acquire <txn> <resource> <mode>   mode: IS IX S SIX X
-  release <txn>
-  cost <txn> <value>
-  detect
-  table | graph | tst | dot | cycles | oracle | costs
-  expect granted|blocked|alreadyheld
-  expect-deadlock yes|no
-  expect-aborted <txn> ...
-  obs                               event counts + latency histograms
-  postmortem                        forensics of the last detect's cycles
-  reset
-  help | quit
-)";
+// Reports a start-up failure; returns the process exit code.
+int Fail(const char* what, const twbg::Status& status) {
+  std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
+  return 1;
+}
 
-// The two runner kinds behind one line-at-a-time interface.
-class LineRunner {
- public:
-  virtual ~LineRunner() = default;
-  virtual twbg::Status ExecuteLine(const std::string& line,
-                                   std::string* out) = 0;
-};
-
-class ClassicRunner final : public LineRunner {
- public:
-  explicit ClassicRunner(twbg::core::ScriptOptions options)
-      : runner_(options) {}
-  twbg::Status StreamEventsTo(const std::string& path) {
-    return runner_.StreamEventsTo(path);
-  }
-  twbg::Status ExecuteLine(const std::string& line,
-                           std::string* out) override {
-    return runner_.ExecuteLine(line, out);
-  }
-
- private:
-  twbg::core::ScriptRunner runner_;
-};
-
-class ClientRunner final : public LineRunner {
- public:
-  ClientRunner(std::unique_ptr<twbg::LockClient> client,
-               std::unique_ptr<twbg::txn::ConcurrentLockService> service,
-               twbg::txn::ClientScriptOptions options)
-      : service_(std::move(service)),
-        client_(std::move(client)),
-        runner_(client_.get(), options) {}
-  twbg::Status ExecuteLine(const std::string& line,
-                           std::string* out) override {
-    return runner_.ExecuteLine(line, out);
-  }
-
- private:
-  // Declaration order is the lifetime order: the service (non-null only
-  // for --service) must outlive the client that drives it, which must
-  // outlive the runner.
-  std::unique_ptr<twbg::txn::ConcurrentLockService> service_;
-  std::unique_ptr<twbg::LockClient> client_;
-  twbg::txn::ClientScriptRunner runner_;
-};
-
-int RunStream(std::istream& in, bool interactive, LineRunner* runner) {
+int RunStream(std::istream& in, bool interactive,
+              twbg::core::ScriptRunner* runner) {
   std::string line;
   if (interactive) {
     std::printf("twbg deadlock explorer — type 'help'\n");
@@ -114,7 +61,8 @@ int RunStream(std::istream& in, bool interactive, LineRunner* runner) {
     if (!std::getline(in, line)) break;
     if (line == "quit" || line == "exit") break;
     if (line == "help") {
-      std::printf("%s", kHelp);
+      std::printf("%s  help | quit\n",
+                  twbg::core::ScriptRunner::Help().c_str());
       continue;
     }
     std::string out;
@@ -147,9 +95,18 @@ int main(int argc, char** argv) {
     }
   }
   const bool interactive = script == nullptr;
-  const bool echo = !interactive;
 
-  std::unique_ptr<LineRunner> runner;
+  if (!trace_out.empty() && (!remote.empty() || service_mode)) {
+    std::fprintf(stderr,
+                 "--trace-out is only available with the raw back end\n");
+    return 1;
+  }
+
+  // Declaration order is the lifetime order: the service (--service only)
+  // outlives the client that drives it, which outlives the back end.
+  std::unique_ptr<twbg::txn::ConcurrentLockService> service;
+  std::unique_ptr<twbg::LockClient> client;
+  std::unique_ptr<twbg::core::ScriptBackend> backend;
   if (!remote.empty()) {
     const size_t colon = remote.rfind(':');
     if (colon == std::string::npos) {
@@ -162,49 +119,28 @@ int main(int argc, char** argv) {
     options.port =
         static_cast<uint16_t>(std::strtoul(remote.c_str() + colon + 1,
                                            nullptr, 10));
-    auto client = twbg::net::TcpClient::Create(options);
-    if (!client.ok()) {
-      std::fprintf(stderr, "connect: %s\n",
-                   client.status().ToString().c_str());
-      return 1;
-    }
-    runner = std::make_unique<ClientRunner>(
-        std::move(*client), nullptr,
-        twbg::txn::ClientScriptOptions{.echo = echo});
+    auto tcp = twbg::net::TcpClient::Create(options);
+    if (!tcp.ok()) return Fail("connect", tcp.status());
+    client = std::move(*tcp);
   } else if (service_mode) {
-    twbg::txn::ConcurrentServiceOptions options;
-    auto service = twbg::txn::ConcurrentLockService::Create(options);
-    if (!service.ok()) {
-      std::fprintf(stderr, "service: %s\n",
-                   service.status().ToString().c_str());
-      return 1;
-    }
-    auto client = twbg::txn::InProcessClient::Create(service->get());
-    if (!client.ok()) {
-      std::fprintf(stderr, "client: %s\n",
-                   client.status().ToString().c_str());
-      return 1;
-    }
-    runner = std::make_unique<ClientRunner>(
-        std::move(*client), std::move(*service),
-        twbg::txn::ClientScriptOptions{.echo = echo});
+    auto created = twbg::txn::ConcurrentLockService::Create({});
+    if (!created.ok()) return Fail("service", created.status());
+    service = std::move(*created);
+    auto in_process = twbg::txn::InProcessClient::Create(service.get());
+    if (!in_process.ok()) return Fail("client", in_process.status());
+    client = std::move(*in_process);
+  }
+  if (client != nullptr) {
+    backend = std::make_unique<twbg::txn::LockClientBackend>(client.get());
   } else {
-    auto classic = std::make_unique<ClassicRunner>(
-        twbg::core::ScriptOptions{.echo = echo});
+    auto raw = std::make_unique<twbg::core::LockManagerBackend>();
     if (!trace_out.empty()) {
-      twbg::Status status = classic->StreamEventsTo(trace_out);
-      if (!status.ok()) {
-        std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-        return 1;
-      }
+      twbg::Status status = raw->StreamEventsTo(trace_out);
+      if (!status.ok()) return Fail("error", status);
     }
-    runner = std::move(classic);
+    backend = std::move(raw);
   }
-  if (!trace_out.empty() && (!remote.empty() || service_mode)) {
-    std::fprintf(stderr,
-                 "--trace-out is only available with the classic back end\n");
-    return 1;
-  }
+  twbg::core::ScriptRunner runner(backend.get(), {.echo = !interactive});
 
   if (script != nullptr && std::strcmp(script, "-") != 0) {
     std::ifstream file(script);
@@ -212,7 +148,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", script);
       return 1;
     }
-    return RunStream(file, /*interactive=*/false, runner.get());
+    return RunStream(file, /*interactive=*/false, &runner);
   }
-  return RunStream(std::cin, interactive, runner.get());
+  return RunStream(std::cin, interactive, &runner);
 }

@@ -2,6 +2,10 @@
 
 #include "core/cost_table.h"
 
+#include <cmath>
+
+#include "common/string_util.h"
+
 namespace twbg::core {
 
 double CostTable::Get(lock::TransactionId tid) const {
@@ -19,5 +23,13 @@ void CostTable::Bump(lock::TransactionId tid, double multiplier,
 }
 
 void CostTable::Erase(lock::TransactionId tid) { costs_.erase(tid); }
+
+Status CheckAbortCost(double cost) {
+  if (!std::isfinite(cost) || cost < 0.0) {
+    return Status::InvalidArgument(common::Format(
+        "abort cost must be finite and non-negative, got %g", cost));
+  }
+  return Status::OK();
+}
 
 }  // namespace twbg::core

@@ -10,6 +10,7 @@
 
 #include <map>
 
+#include "common/status.h"
 #include "lock/types.h"
 
 namespace twbg::core {
@@ -44,6 +45,12 @@ class CostTable {
  private:
   std::map<lock::TransactionId, double> costs_;
 };
+
+/// InvalidArgument unless `cost` is finite and non-negative.  Victim
+/// selection sorts and compares costs, which needs a strict weak order
+/// (a NaN breaks it); every cost set from outside the program is checked
+/// here first.
+Status CheckAbortCost(double cost);
 
 }  // namespace twbg::core
 

@@ -327,6 +327,17 @@ ResolutionReport ApplyResolution(WalkOutcome walk, lock::LockManager& manager,
   return ApplyResolution(std::move(walk), host, costs, options);
 }
 
+DetectResult ProjectReport(const ResolutionReport& report) {
+  DetectResult result;
+  result.report = report.ToString();
+  result.aborted = report.aborted;
+  result.cycles_detected = report.cycles_detected;
+  for (const CyclePostMortem& pm : report.post_mortems) {
+    result.post_mortems += pm.ToString();
+  }
+  return result;
+}
+
 std::string ResolutionReport::ToString() const {
   std::string out = common::Format(
       "cycles=%zu aborted=%zu spared=%zu granted=%zu repositioned=%zu "

@@ -264,6 +264,26 @@ struct ResolutionReport {
   std::string ToString() const;
 };
 
+/// The client-visible projection of a ResolutionReport: what
+/// LockClient::Detect returns (the full report object stays in the
+/// service; its rendered text is what the differential tests compare
+/// byte-for-byte) and what a scenario script prints and checks.
+struct DetectResult {
+  /// ResolutionReport::ToString() of the pass.
+  std::string report;
+  /// Victims aborted by the pass, in resolution order.
+  std::vector<lock::TransactionId> aborted;
+  /// Elementary cycles the pass resolved.
+  uint64_t cycles_detected = 0;
+  /// Concatenated CyclePostMortem::ToString() renderings; empty when the
+  /// pass resolved nothing or post-mortem collection is off.
+  std::string post_mortems;
+};
+
+/// Builds the DetectResult projection of `report` (shared by the raw
+/// script back end, InProcessClient and the daemon's Detect handler).
+DetectResult ProjectReport(const ResolutionReport& report);
+
 }  // namespace twbg::core
 
 #endif  // TWBG_CORE_DETECTOR_H_

@@ -653,7 +653,7 @@ class Server::Impl {
                           &response);
         break;
       case MsgType::kDetect:
-        response.detect = txn::ProjectReport(service_->RunDetectionPass());
+        response.detect = core::ProjectReport(service_->RunDetectionPass());
         break;
       case MsgType::kProbeDeadlock: {
         Result<bool> deadlocked = service_->HasDeadlock();

@@ -21,7 +21,8 @@
 // Engine internals (the TST builder layers, scoped-TST experiments, the
 // incremental ECR edge cache, the parallel detection engine) are NOT part
 // of the public surface; include their headers directly if you are
-// extending the engine itself.
+// extending the engine itself.  The same holds for the script back end
+// over a LockClient (txn/client_script.h), which the REPL and tests use.
 
 #ifndef TWBG_TWBG_H_
 #define TWBG_TWBG_H_
@@ -44,7 +45,6 @@
 #include "core/twbg.h"
 #include "core/victim.h"
 
-#include "txn/client_script.h"
 #include "txn/concurrent_service.h"
 #include "txn/lock_client.h"
 #include "txn/mgl.h"

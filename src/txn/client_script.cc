@@ -2,39 +2,11 @@
 
 #include "txn/client_script.h"
 
-#include <charconv>
-
 #include "common/string_util.h"
 
 namespace twbg::txn {
 
 namespace {
-
-std::optional<uint32_t> ParseId(std::string_view text) {
-  uint32_t value = 0;
-  // Allow a leading 'T' or 'R' for readability, as core::ScriptRunner.
-  if (!text.empty() && (text[0] == 'T' || text[0] == 'R')) {
-    text.remove_prefix(1);
-  }
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-std::string OutcomeName(lock::RequestOutcome outcome) {
-  switch (outcome) {
-    case lock::RequestOutcome::kGranted:
-      return "granted";
-    case lock::RequestOutcome::kAlreadyHeld:
-      return "alreadyheld";
-    case lock::RequestOutcome::kBlocked:
-      return "blocked";
-  }
-  return "?";
-}
 
 bool Terminated(TxnState state) {
   return state == TxnState::kCommitted || state == TxnState::kAborted;
@@ -42,224 +14,74 @@ bool Terminated(TxnState state) {
 
 }  // namespace
 
-ClientScriptRunner::ClientScriptRunner(LockClient* client,
-                                       ClientScriptOptions options)
-    : client_(client), options_(options) {}
-
-Result<lock::TransactionId> ClientScriptRunner::MapTxn(uint32_t script_id) {
+Result<lock::TransactionId> LockClientBackend::MapTxn(
+    lock::TransactionId script_id) {
   auto it = txn_of_script_.find(script_id);
   if (it != txn_of_script_.end()) {
     Result<TxnState> state = client_->State(it->second);
     if (state.ok() && !Terminated(*state)) return it->second;
     // The previous incarnation was aborted (victim) or is otherwise
-    // done; the classic runner lets the id re-register, so Begin anew.
-    script_of_txn_.erase(it->second);
+    // done; the raw back end lets the id re-register, so Begin anew.
     txn_of_script_.erase(it);
   }
   Result<lock::TransactionId> tid = client_->Begin();
   if (!tid.ok()) return tid;
   txn_of_script_[script_id] = *tid;
-  script_of_txn_[*tid] = script_id;
   return tid;
 }
 
-Status ClientScriptRunner::DoAcquire(const std::vector<std::string>& args,
-                                     std::string* out) {
-  if (args.size() != 4) {
-    return Status::InvalidArgument("usage: acquire <txn> <resource> <mode>");
-  }
-  std::optional<uint32_t> tid = ParseId(args[1]);
-  std::optional<uint32_t> rid = ParseId(args[2]);
-  std::optional<lock::LockMode> mode = lock::LockModeFromString(args[3]);
-  if (!tid || !rid || !mode) {
-    return Status::InvalidArgument(
-        common::Format("cannot parse acquire arguments '%s %s %s'",
-                       args[1].c_str(), args[2].c_str(), args[3].c_str()));
-  }
-  Result<lock::TransactionId> mapped = MapTxn(*tid);
+Result<lock::RequestOutcome> LockClientBackend::Acquire(
+    lock::TransactionId txn, lock::ResourceId rid, lock::LockMode mode) {
+  Result<lock::TransactionId> mapped = MapTxn(txn);
   if (!mapped.ok()) return mapped.status();
-  Result<lock::RequestOutcome> outcome =
-      client_->Acquire(*mapped, *rid, *mode);
-  if (!outcome.ok()) return outcome.status();
-  last_outcome_ = *outcome;
-  *out += common::Format("T%u <- %s on R%u: %s\n", *tid, args[3].c_str(),
-                         *rid, OutcomeName(*outcome).c_str());
-  return Status::OK();
+  return client_->Acquire(*mapped, rid, mode);
 }
 
-Status ClientScriptRunner::DoExpect(const std::vector<std::string>& args) {
-  if (args.size() != 2) {
-    return Status::InvalidArgument(
-        "usage: expect granted|blocked|alreadyheld");
+Result<std::optional<size_t>> LockClientBackend::Release(
+    lock::TransactionId txn) {
+  auto it = txn_of_script_.find(txn);
+  if (it == txn_of_script_.end()) {
+    return Status::NotFound(
+        common::Format("T%u has no service transaction", txn));
   }
-  if (!last_outcome_.has_value()) {
-    return Status::FailedPrecondition("no acquire to check");
-  }
-  const std::string actual = OutcomeName(*last_outcome_);
-  if (actual != args[1]) {
-    return Status::Internal(common::Format(
-        "expectation failed: wanted %s, got %s", args[1].c_str(),
-        actual.c_str()));
-  }
-  return Status::OK();
+  // Strict-2PL release-everything == voluntary abort.  Tolerate a
+  // transaction the detector already aborted: its locks are gone.
+  Status released = client_->Abort(it->second);
+  if (!released.ok() && !released.IsFailedPrecondition()) return released;
+  txn_of_script_.erase(it);
+  return std::optional<size_t>();
 }
 
-Status ClientScriptRunner::DoExpectAborted(
-    const std::vector<std::string>& args) {
-  if (!last_detect_.has_value()) {
-    return Status::FailedPrecondition("no detect to check");
-  }
-  std::vector<lock::TransactionId> wanted;
-  for (size_t i = 1; i < args.size(); ++i) {
-    std::optional<uint32_t> script_id = ParseId(args[i]);
-    if (!script_id) {
-      return Status::InvalidArgument(
-          common::Format("bad transaction id '%s'", args[i].c_str()));
-    }
-    auto it = txn_of_script_.find(*script_id);
-    if (it == txn_of_script_.end()) {
-      return Status::InvalidArgument(common::Format(
-          "T%u has no service transaction to check", *script_id));
-    }
-    wanted.push_back(it->second);
-  }
-  if (wanted != last_detect_->aborted) {
-    std::vector<std::string> got;
-    for (lock::TransactionId tid : last_detect_->aborted) {
-      got.push_back(common::Format("T%u", tid));
-    }
-    return Status::Internal(common::Format(
-        "expectation failed: aborted = {%s}",
-        common::Join(got, ", ").c_str()));
-  }
-  return Status::OK();
+Status LockClientBackend::SetCost(lock::TransactionId txn, double cost) {
+  Result<lock::TransactionId> mapped = MapTxn(txn);
+  if (!mapped.ok()) return mapped.status();
+  return client_->SetCost(*mapped, cost);
 }
 
-Status ClientScriptRunner::ExecuteLine(std::string_view line,
-                                       std::string* out) {
-  size_t hash = line.find('#');
-  if (hash != std::string_view::npos) line = line.substr(0, hash);
-  std::vector<std::string> args;
-  for (std::string& token :
-       common::Split(std::string(line), ' ', /*skip_empty=*/true)) {
-    args.push_back(std::move(token));
-  }
-  if (args.empty()) return Status::OK();
-  if (options_.echo) {
-    *out += "> ";
-    *out += common::Join(args, " ");
-    *out += "\n";
-  }
-
-  const std::string& cmd = args[0];
-  if (cmd == "acquire") return DoAcquire(args, out);
-  if (cmd == "release") {
-    if (args.size() != 2) {
-      return Status::InvalidArgument("usage: release <txn>");
-    }
-    std::optional<uint32_t> script_id = ParseId(args[1]);
-    if (!script_id) return Status::InvalidArgument("bad transaction id");
-    auto it = txn_of_script_.find(*script_id);
-    if (it == txn_of_script_.end()) {
-      return Status::NotFound(
-          common::Format("T%u has no service transaction", *script_id));
-    }
-    // Strict-2PL release-everything == voluntary abort.  Tolerate a
-    // transaction the detector already aborted: its locks are gone.
-    Status released = client_->Abort(it->second);
-    if (!released.ok() && !released.IsFailedPrecondition()) return released;
-    script_of_txn_.erase(it->second);
-    txn_of_script_.erase(it);
-    *out += common::Format("released T%u\n", *script_id);
-    return Status::OK();
-  }
-  if (cmd == "cost") {
-    if (args.size() != 3) {
-      return Status::InvalidArgument("usage: cost <txn> <value>");
-    }
-    std::optional<uint32_t> script_id = ParseId(args[1]);
-    if (!script_id) return Status::InvalidArgument("bad transaction id");
-    Result<lock::TransactionId> mapped = MapTxn(*script_id);
-    if (!mapped.ok()) return mapped.status();
-    return client_->SetCost(*mapped, std::strtod(args[2].c_str(), nullptr));
-  }
-  if (cmd == "detect") {
-    Result<DetectResult> detect = client_->Detect();
-    if (!detect.ok()) return detect.status();
-    last_detect_ = *detect;
-    *out += last_detect_->report;
-    return Status::OK();
-  }
-  static const std::map<std::string, ServiceView> kViews = {
-      {"table", ServiceView::kTable}, {"graph", ServiceView::kGraph},
-      {"dot", ServiceView::kDot},     {"tst", ServiceView::kTst},
-      {"cycles", ServiceView::kCycles}, {"oracle", ServiceView::kOracle},
-      {"costs", ServiceView::kCosts}};
-  if (auto view = kViews.find(cmd); view != kViews.end()) {
-    Result<std::string> text = client_->View(view->second);
-    if (!text.ok()) return text.status();
-    *out += *text;
-    return Status::OK();
-  }
-  if (cmd == "expect") return DoExpect(args);
-  if (cmd == "expect-deadlock") {
-    if (args.size() != 2 || (args[1] != "yes" && args[1] != "no")) {
-      return Status::InvalidArgument("usage: expect-deadlock yes|no");
-    }
-    Result<bool> actual = client_->HasDeadlock();
-    if (!actual.ok()) return actual.status();
-    if (*actual != (args[1] == "yes")) {
-      return Status::Internal(common::Format(
-          "expectation failed: deadlock = %s", *actual ? "yes" : "no"));
-    }
-    return Status::OK();
-  }
-  if (cmd == "expect-aborted") return DoExpectAborted(args);
-  if (cmd == "postmortem") {
-    if (!last_detect_.has_value()) {
-      return Status::FailedPrecondition("no detect to report on");
-    }
-    if (last_detect_->post_mortems.empty()) {
-      *out += "no cycles resolved by the last detect\n";
-      return Status::OK();
-    }
-    *out += last_detect_->post_mortems;
-    return Status::OK();
-  }
-  if (cmd == "obs") {
-    return Status::InvalidArgument(
-        "'obs' is not available through a lock client (the event stream "
-        "lives in the service process)");
-  }
-  if (cmd == "reset") {
-    for (const auto& [script_id, tid] : txn_of_script_) {
-      Status aborted = client_->Abort(tid);
-      // Already-terminated transactions are fine; anything else is not.
-      if (!aborted.ok() && !aborted.IsFailedPrecondition()) return aborted;
-    }
-    txn_of_script_.clear();
-    script_of_txn_.clear();
-    last_outcome_.reset();
-    last_detect_.reset();
-    return Status::OK();
-  }
+Result<std::string> LockClientBackend::Obs() {
   return Status::InvalidArgument(
-      common::Format("unknown command '%s'", cmd.c_str()));
+      "'obs' is not available through a lock client (the event stream "
+      "lives in the service process)");
 }
 
-Status ClientScriptRunner::ExecuteScript(std::string_view text,
-                                         std::string* out) {
-  size_t line_number = 0;
-  for (const std::string& line : common::Split(text, '\n')) {
-    ++line_number;
-    Status status = ExecuteLine(line, out);
-    if (!status.ok()) {
-      return Status::Internal(common::Format(
-          "line %zu: %s", line_number,
-          std::string(status.message()).c_str()));
-    }
+Status LockClientBackend::Reset() {
+  for (const auto& [script_id, tid] : txn_of_script_) {
+    Status aborted = client_->Abort(tid);
+    // Already-terminated transactions are fine; anything else is not.
+    if (!aborted.ok() && !aborted.IsFailedPrecondition()) return aborted;
   }
+  txn_of_script_.clear();
   return Status::OK();
+}
+
+Result<lock::TransactionId> LockClientBackend::TxnId(
+    lock::TransactionId txn) {
+  auto it = txn_of_script_.find(txn);
+  if (it == txn_of_script_.end()) {
+    return Status::InvalidArgument(
+        common::Format("T%u has no service transaction to check", txn));
+  }
+  return it->second;
 }
 
 }  // namespace twbg::txn

@@ -1,24 +1,23 @@
 // Copyright (c) the twbg authors. Licensed under the MIT license.
 //
-// The scenario-script interpreter over a LockClient: the same command
-// language as core::ScriptRunner (see core/script.h for the grammar),
-// but every operation goes through the abstract client surface — so one
-// script drives an in-process service (InProcessClient) or a live
-// twbg-serverd daemon (net::TcpClient) unchanged.  The differential
-// test in tests/client_script_test.cc runs every scenarios/*.twbg file
-// both ways and asserts byte-identical output.
+// The scenario-script back end over a LockClient: core::ScriptRunner (see
+// core/script.h for the grammar) drives every operation through the
+// abstract client surface — so one script drives an in-process service
+// (InProcessClient) or a live twbg-serverd daemon (net::TcpClient)
+// unchanged.  The differential test in tests/client_script_test.cc runs
+// every scenarios/*.twbg file both ways and asserts byte-identical output.
 //
-// Semantics vs the classic runner (divergences are inherent to driving
-// a *transactional service* instead of a raw lock manager):
+// Semantics vs the raw back end (divergences are inherent to driving a
+// *transactional service* instead of a raw lock manager):
 //
 //   * Script transaction ids are session-local names: the first use of
-//     an id Begins a service transaction and the runner keeps the
+//     an id Begins a service transaction and the back end keeps the
 //     script-id -> service-tid mapping.  Detect reports and views
 //     therefore print *service* ids (identical across client kinds,
 //     since Begin order matches).
 //   * `acquire` for an id whose service transaction has terminated
 //     (earlier victim abort or release) Begins a fresh transaction —
-//     matching the classic runner, where an aborted id could simply
+//     matching the raw back end, where an aborted id could simply
 //     re-register with the manager.
 //   * `release` maps to Abort (strict-2PL release-everything) and does
 //     not report a granted-waiters count (that is service-internal).
@@ -32,57 +31,40 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
+#include "core/script.h"
 #include "txn/lock_client.h"
 
 namespace twbg::txn {
 
-/// Options for a client-script run.
-struct ClientScriptOptions {
-  /// Echo each command before its output.
-  bool echo = false;
-};
-
-/// Stateful interpreter over a LockClient.  Not thread-safe (like the
+/// core::ScriptBackend over a LockClient.  Not thread-safe (like the
 /// client it drives).
-class ClientScriptRunner {
+class LockClientBackend final : public core::ScriptBackend {
  public:
-  /// Runs against `client` (not owned; must outlive the runner).
-  explicit ClientScriptRunner(LockClient* client,
-                              ClientScriptOptions options = {});
+  /// Runs against `client` (not owned; must outlive the back end).
+  explicit LockClientBackend(LockClient* client) : client_(client) {}
 
-  ClientScriptRunner(const ClientScriptRunner&) = delete;
-  ClientScriptRunner& operator=(const ClientScriptRunner&) = delete;
-
-  /// Executes one line, appending any output to `*out`.
-  Status ExecuteLine(std::string_view line, std::string* out);
-
-  /// Executes a whole script, stopping at the first error (reported with
-  /// its 1-based line number).
-  Status ExecuteScript(std::string_view text, std::string* out);
-
-  /// Projection of the most recent `detect`, if any.
-  const std::optional<DetectResult>& last_detect() const {
-    return last_detect_;
+  Result<lock::RequestOutcome> Acquire(lock::TransactionId txn,
+                                       lock::ResourceId rid,
+                                       lock::LockMode mode) override;
+  Result<std::optional<size_t>> Release(lock::TransactionId txn) override;
+  Status SetCost(lock::TransactionId txn, double cost) override;
+  Result<DetectResult> Detect() override { return client_->Detect(); }
+  Result<std::string> Render(core::View view) override {
+    return client_->View(view);
   }
+  Result<bool> HasDeadlock() override { return client_->HasDeadlock(); }
+  Result<std::string> Obs() override;
+  Status Reset() override;
+  Result<lock::TransactionId> TxnId(lock::TransactionId txn) override;
 
  private:
-  Status DoAcquire(const std::vector<std::string>& args, std::string* out);
-  Status DoExpect(const std::vector<std::string>& args);
-  Status DoExpectAborted(const std::vector<std::string>& args);
-
   /// The service transaction for a script id, Beginning one on first use
   /// (or when the previous one terminated).
-  Result<lock::TransactionId> MapTxn(uint32_t script_id);
+  Result<lock::TransactionId> MapTxn(lock::TransactionId script_id);
 
   LockClient* client_;
-  ClientScriptOptions options_;
-  std::map<uint32_t, lock::TransactionId> txn_of_script_;
-  std::map<lock::TransactionId, uint32_t> script_of_txn_;
-  std::optional<lock::RequestOutcome> last_outcome_;
-  std::optional<DetectResult> last_detect_;
+  std::map<lock::TransactionId, lock::TransactionId> txn_of_script_;
 };
 
 }  // namespace twbg::txn

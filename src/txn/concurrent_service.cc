@@ -6,8 +6,6 @@
 #include <set>
 
 #include "common/string_util.h"
-#include "core/oracle.h"
-#include "core/tst.h"
 #include "core/twbg.h"
 #include "lock/resource_state.h"
 #include "obs/sinks.h"
@@ -520,6 +518,7 @@ Result<lock::RequestOutcome> ConcurrentLockService::AcquireAsync(
 }
 
 Status ConcurrentLockService::SetCost(lock::TransactionId tid, double cost) {
+  TWBG_RETURN_IF_ERROR(core::CheckAbortCost(cost));
   std::scoped_lock tl(txn_mu_);
   auto it = txns_.find(tid);
   if (it == txns_.end()) {
@@ -1421,76 +1420,28 @@ Result<bool> ConcurrentLockService::HasDeadlock() {
   return core::HwTwbg::Build(shards_[0]->lm.table()).HasCycle();
 }
 
-Result<std::string> ConcurrentLockService::RenderView(ServiceView view) {
-  // Stop the world so the rendering is a consistent snapshot, then build
-  // the view off the (single) live table.  The formats deliberately match
-  // core::ScriptRunner's commands — see ServiceView.
+Result<std::string> ConcurrentLockService::RenderView(core::View view) {
+  // Stop the world so the rendering is a consistent snapshot.
   common::Stopwatch hold;
   std::vector<std::unique_lock<std::mutex>> shard_locks =
       LockShards(~uint64_t{0}, hold);
-
-  if (view == ServiceView::kTable) {
-    if (shards_.size() == 1) return shards_[0]->lm.table().ToString();
-    std::string out;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      out += common::Format("-- shard %zu --\n", s);
-      out += shards_[s]->lm.table().ToString();
-    }
-    return out;
+  std::scoped_lock tl(txn_mu_);  // costs_
+  if (shards_.size() == 1) {
+    return core::RenderView(view, shards_[0]->lm, costs_);
   }
-  if (view == ServiceView::kCosts) {
-    std::string out;
-    std::scoped_lock tl(txn_mu_);
-    // Known to the lock table (shard order), as ScriptRunner prints.
-    for (const auto& shard : shards_) {
-      for (lock::TransactionId tid : shard->lm.KnownTransactions()) {
-        out += common::Format("T%u: %.2f\n", tid, costs_.Get(tid));
-      }
-    }
-    return out;
-  }
-
-  // The graph-derived views need the whole wait-for state in one table.
-  if (shards_.size() != 1) {
+  if (view != core::View::kTable && view != core::View::kCosts) {
     return Status::FailedPrecondition(
         "graph views require num_shards == 1 (merged multi-shard graph "
         "construction is not implemented)");
   }
-  const lock::LockTable* table = &shards_[0]->lm.table();
-  switch (view) {
-    case ServiceView::kGraph:
-      return core::HwTwbg::Build(*table).ToString();
-    case ServiceView::kDot:
-      return core::HwTwbg::Build(*table).ToDot();
-    case ServiceView::kTst:
-      return core::Tst::Build(*table).ToString();
-    case ServiceView::kCycles: {
-      std::string out;
-      for (const auto& cycle :
-           core::HwTwbg::Build(*table).ElementaryCycles()) {
-        std::vector<std::string> names;
-        for (lock::TransactionId tid : cycle) {
-          names.push_back(common::Format("T%u", tid));
-        }
-        out += common::Format("cycle {%s}\n", common::Join(names, ", ").c_str());
-      }
-      return out;
+  std::string out;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (view == core::View::kTable) {
+      out += common::Format("-- shard %zu --\n", s);
     }
-    case ServiceView::kOracle: {
-      core::OracleResult oracle = core::AnalyzeByReduction(*table);
-      std::vector<std::string> names;
-      for (lock::TransactionId tid : oracle.stuck) {
-        names.push_back(common::Format("T%u", tid));
-      }
-      return common::Format("deadlocked=%s stuck={%s}\n",
-                            oracle.deadlocked ? "yes" : "no",
-                            common::Join(names, ", ").c_str());
-    }
-    case ServiceView::kTable:
-    case ServiceView::kCosts:
-      break;  // handled above
+    out += core::RenderView(view, shards_[s]->lm, costs_);
   }
-  return Status::Internal("unhandled view");
+  return out;
 }
 
 size_t ConcurrentLockService::deadlock_victims() const {

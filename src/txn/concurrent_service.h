@@ -99,6 +99,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/parallel_detector.h"
+#include "core/view.h"
 #include "obs/span.h"
 #include "obs/span_sinks.h"
 #include "sched/period_controller.h"
@@ -184,29 +185,6 @@ struct ConcurrentServiceOptions {
   Status Validate() const;
 };
 
-/// A read-only rendering of service state, served by RenderView.  The
-/// text formats match core::ScriptRunner's corresponding commands, so a
-/// script driven through a LockClient prints the same views as one driven
-/// against a raw LockManager.
-enum class ServiceView {
-  /// The lock table (every shard; multi-shard tables are concatenated
-  /// with `-- shard N --` headers).
-  kTable,
-  /// H/W-TWBG adjacency-list rendering (requires num_shards == 1).
-  kGraph,
-  /// H/W-TWBG in Graphviz dot syntax (requires num_shards == 1).
-  kDot,
-  /// Transaction Steps Table (requires num_shards == 1).
-  kTst,
-  /// Elementary cycles, one `cycle {...}` line each (num_shards == 1).
-  kCycles,
-  /// Reduction-oracle verdict: `deadlocked=... stuck={...}`
-  /// (num_shards == 1).
-  kOracle,
-  /// Per-transaction abort costs, one `T<id>: <cost>` line each.
-  kCosts,
-};
-
 /// Cumulative per-shard contention counters.
 struct ShardStats {
   /// Lock attempts that found the shard mutex already held.
@@ -285,9 +263,10 @@ class ConcurrentLockService {
 
   /// Pins `tid`'s abort cost to `cost`: the value replaces the
   /// policy-computed cost and is no longer refreshed on subsequent
-  /// operations, mirroring ScriptRunner's `cost` command.
-  /// kFailedPrecondition for a terminated transaction; kNotFound for an
-  /// unknown one.
+  /// operations, mirroring a script's `cost` command.
+  /// kInvalidArgument unless `cost` is finite and non-negative
+  /// (core::CheckAbortCost); kFailedPrecondition for a terminated
+  /// transaction; kNotFound for an unknown one.
   Status SetCost(lock::TransactionId tid, double cost);
 
   /// True when the current wait-for state contains a cycle (H/W-TWBG
@@ -296,11 +275,13 @@ class ConcurrentLockService {
   /// construction is not implemented.
   Result<bool> HasDeadlock();
 
-  /// Renders `view` of the current state (formats documented on
-  /// ServiceView).  Graph-derived views require num_shards == 1;
-  /// kTable / kCosts work for any configuration.  Stops the world for
-  /// the duration — a diagnostics surface, never a hot path.
-  Result<std::string> RenderView(ServiceView view);
+  /// Renders `view` of the current state with core::RenderView, the
+  /// text the raw script back end prints.  Graph-derived views require
+  /// num_shards == 1; kTable / kCosts work for any configuration (a
+  /// multi-shard table is concatenated with `-- shard N --` headers).
+  /// Stops the world for the duration — a diagnostics surface, never a
+  /// hot path.
+  Result<std::string> RenderView(core::View view);
 
   /// Live (kActive or kBlocked) transactions right now.
   size_t live_transactions() const;

@@ -4,17 +4,6 @@
 
 namespace twbg::txn {
 
-DetectResult ProjectReport(const core::ResolutionReport& report) {
-  DetectResult result;
-  result.report = report.ToString();
-  result.aborted = report.aborted;
-  result.cycles_detected = report.cycles_detected;
-  for (const core::CyclePostMortem& pm : report.post_mortems) {
-    result.post_mortems += pm.ToString();
-  }
-  return result;
-}
-
 Result<std::unique_ptr<InProcessClient>> InProcessClient::Create(
     ConcurrentLockService* service) {
   if (service == nullptr) {
@@ -54,7 +43,7 @@ Status InProcessClient::SetCost(lock::TransactionId tid, double cost) {
 }
 
 Result<DetectResult> InProcessClient::Detect() {
-  return ProjectReport(service_->RunDetectionPass());
+  return core::ProjectReport(service_->RunDetectionPass());
 }
 
 Result<bool> InProcessClient::HasDeadlock() { return service_->HasDeadlock(); }

@@ -34,24 +34,12 @@
 
 namespace twbg {
 
-/// Alias of the service-side view selector: LockClient::View renders the
-/// same diagnostics over the wire.
-using ServiceView = txn::ServiceView;
+/// The view selector of LockClient::View: core::RenderView's text,
+/// rendered by the service (ConcurrentLockService::RenderView).
+using ServiceView = core::View;
 
-/// Outcome of LockClient::Detect — the client-visible projection of a
-/// core::ResolutionReport (the full report object stays server-side; its
-/// rendered text is what the differential tests compare byte-for-byte).
-struct DetectResult {
-  /// core::ResolutionReport::ToString() of the pass.
-  std::string report;
-  /// Victims aborted by the pass, in resolution order.
-  std::vector<lock::TransactionId> aborted;
-  /// Elementary cycles the pass resolved.
-  uint64_t cycles_detected = 0;
-  /// Concatenated core::CyclePostMortem::ToString() renderings; empty
-  /// when the pass resolved nothing or post-mortem collection is off.
-  std::string post_mortems;
-};
+/// Outcome of LockClient::Detect (core::ProjectReport of the pass).
+using DetectResult = core::DetectResult;
 
 /// Service-level counters surfaced to clients (LockClient::Stats).  The
 /// session_* fields are only meaningful for network clients; an
@@ -149,10 +137,6 @@ class InProcessClient final : public LockClient {
 
   ConcurrentLockService* service_;
 };
-
-/// Builds a DetectResult projection from a full resolution report (shared
-/// by InProcessClient and the daemon's Detect handler).
-DetectResult ProjectReport(const core::ResolutionReport& report);
 
 }  // namespace txn
 }  // namespace twbg

@@ -66,7 +66,8 @@ RunResult RunInProcess(const std::string& script) {
   auto service = FreshService();
   auto client = InProcessClient::Create(service.get());
   EXPECT_TRUE(client.ok());
-  ClientScriptRunner runner(client->get());
+  LockClientBackend backend(client->get());
+  core::ScriptRunner runner(&backend);
   result.status = runner.ExecuteScript(script, &result.output);
   return result;
 }
@@ -83,7 +84,8 @@ RunResult RunOverTcp(const std::string& script) {
   client_options.port = (*server)->port();
   auto client = net::TcpClient::Create(client_options);
   EXPECT_TRUE(client.ok()) << client.status().ToString();
-  ClientScriptRunner runner(client->get());
+  LockClientBackend backend(client->get());
+  core::ScriptRunner runner(&backend);
   result.status = runner.ExecuteScript(script, &result.output);
   return result;
 }
@@ -121,13 +123,14 @@ std::string NameOf(const ::testing::TestParamInfo<std::filesystem::path>& p) {
 INSTANTIATE_TEST_SUITE_P(AllScenarios, ClientScriptDifferentialTest,
                          ::testing::ValuesIn(ScenarioFiles()), NameOf);
 
-// Runner-level semantics that no scenario file exercises.
+// Back-end semantics that no scenario file exercises.
 
-TEST(ClientScriptRunnerTest, EchoAndComments) {
+TEST(LockClientBackendTest, EchoAndComments) {
   auto service = FreshService();
   auto client = InProcessClient::Create(service.get());
   ASSERT_TRUE(client.ok());
-  ClientScriptRunner runner(client->get(), {.echo = true});
+  LockClientBackend backend(client->get());
+  core::ScriptRunner runner(&backend, {.echo = true});
   std::string out;
   ASSERT_TRUE(runner.ExecuteLine("  # a full-line comment", &out).ok());
   EXPECT_TRUE(out.empty());
@@ -135,11 +138,12 @@ TEST(ClientScriptRunnerTest, EchoAndComments) {
   EXPECT_EQ(out, "> acquire 1 1 X\nT1 <- X on R1: granted\n");
 }
 
-TEST(ClientScriptRunnerTest, UnknownCommandReportsLineNumber) {
+TEST(LockClientBackendTest, UnknownCommandReportsLineNumber) {
   auto service = FreshService();
   auto client = InProcessClient::Create(service.get());
   ASSERT_TRUE(client.ok());
-  ClientScriptRunner runner(client->get());
+  LockClientBackend backend(client->get());
+  core::ScriptRunner runner(&backend);
   std::string out;
   Status status = runner.ExecuteScript("acquire 1 1 X\nfrobnicate\n", &out);
   EXPECT_FALSE(status.ok());
@@ -148,11 +152,12 @@ TEST(ClientScriptRunnerTest, UnknownCommandReportsLineNumber) {
             std::string::npos);
 }
 
-TEST(ClientScriptRunnerTest, ReleaseAndReuseOfScriptIds) {
+TEST(LockClientBackendTest, ReleaseAndReuseOfScriptIds) {
   auto service = FreshService();
   auto client = InProcessClient::Create(service.get());
   ASSERT_TRUE(client.ok());
-  ClientScriptRunner runner(client->get());
+  LockClientBackend backend(client->get());
+  core::ScriptRunner runner(&backend);
   std::string out;
   ASSERT_TRUE(runner.ExecuteLine("acquire 1 1 X", &out).ok());
   ASSERT_TRUE(runner.ExecuteLine("release 1", &out).ok());
@@ -163,20 +168,49 @@ TEST(ClientScriptRunnerTest, ReleaseAndReuseOfScriptIds) {
   EXPECT_EQ(out, "T1 <- X on R1: granted\n");
 }
 
-TEST(ClientScriptRunnerTest, ObsIsUnavailableThroughClients) {
+TEST(LockClientBackendTest, ObsIsUnavailableThroughClients) {
   auto service = FreshService();
   auto client = InProcessClient::Create(service.get());
   ASSERT_TRUE(client.ok());
-  ClientScriptRunner runner(client->get());
+  LockClientBackend backend(client->get());
+  core::ScriptRunner runner(&backend);
   std::string out;
   EXPECT_TRUE(runner.ExecuteLine("obs", &out).IsInvalidArgument());
 }
 
-TEST(ClientScriptRunnerTest, ResetAbortsLiveTransactions) {
+TEST(LockClientBackendTest, CostRejectsBadValuesInProcessAndOverTcp) {
+  auto service = FreshService();
+  auto in_process = InProcessClient::Create(service.get());
+  ASSERT_TRUE(in_process.ok());
+  auto server = net::Server::Create({}, service.get());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE((*server)->Start().ok());
+  net::ClientOptions client_options;
+  client_options.port = (*server)->port();
+  auto over_tcp = net::TcpClient::Create(client_options);
+  ASSERT_TRUE(over_tcp.ok()) << over_tcp.status().ToString();
+
+  for (LockClient* client : {static_cast<LockClient*>(in_process->get()),
+                             static_cast<LockClient*>(over_tcp->get())}) {
+    LockClientBackend backend(client);
+    core::ScriptRunner runner(&backend);
+    std::string out;
+    // "abc" never reaches the service; nan and -1 are refused by it.
+    for (const char* line : {"cost 1 abc", "cost 1 nan", "cost 1 -1"}) {
+      Status status = runner.ExecuteLine(line, &out);
+      EXPECT_TRUE(status.IsInvalidArgument()) << line << ": "
+                                              << status.ToString();
+    }
+    EXPECT_TRUE(runner.ExecuteLine("cost 1 4", &out).ok());
+  }
+}
+
+TEST(LockClientBackendTest, ResetAbortsLiveTransactions) {
   auto service = FreshService();
   auto client = InProcessClient::Create(service.get());
   ASSERT_TRUE(client.ok());
-  ClientScriptRunner runner(client->get());
+  LockClientBackend backend(client->get());
+  core::ScriptRunner runner(&backend);
   std::string out;
   ASSERT_TRUE(runner.ExecuteLine("acquire 1 1 X", &out).ok());
   ASSERT_TRUE(runner.ExecuteLine("acquire 2 2 S", &out).ok());

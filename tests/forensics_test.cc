@@ -443,7 +443,8 @@ TEST(PostMortemTest, CollectedWithoutABusWhenOptedIn) {
 }
 
 TEST(PostMortemTest, ReplPostmortemCommandPrintsForensics) {
-  core::ScriptRunner runner;
+  core::LockManagerBackend backend;
+  core::ScriptRunner runner(&backend);
   std::string out;
   ASSERT_TRUE(runner
                   .ExecuteScript("acquire 1 1 X\n"
@@ -458,7 +459,8 @@ TEST(PostMortemTest, ReplPostmortemCommandPrintsForensics) {
   EXPECT_NE(out.find("post-mortem"), std::string::npos) << out;
   EXPECT_NE(out.find("wait chain"), std::string::npos) << out;
   // Before any detect the command fails cleanly.
-  core::ScriptRunner fresh;
+  core::LockManagerBackend fresh_backend;
+  core::ScriptRunner fresh(&fresh_backend);
   std::string unused;
   EXPECT_FALSE(fresh.ExecuteLine("postmortem", &unused).ok());
 }

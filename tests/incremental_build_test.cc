@@ -216,10 +216,11 @@ TEST(IncrementalScenarioTest, ScriptsAgreeWithScratchBuild) {
     std::stringstream buffer;
     buffer << file.rdbuf();
 
-    ScriptOptions inc_opts, scr_opts;
-    inc_opts.detector.incremental_build = true;
-    scr_opts.detector.incremental_build = false;
-    ScriptRunner inc(inc_opts), scr(scr_opts);
+    DetectorOptions inc_opts, scr_opts;
+    inc_opts.incremental_build = true;
+    scr_opts.incremental_build = false;
+    LockManagerBackend inc_backend(inc_opts), scr_backend(scr_opts);
+    ScriptRunner inc(&inc_backend), scr(&scr_backend);
     std::string inc_out, scr_out;
     Status inc_status = inc.ExecuteScript(buffer.str(), &inc_out);
     Status scr_status = scr.ExecuteScript(buffer.str(), &scr_out);
@@ -229,8 +230,8 @@ TEST(IncrementalScenarioTest, ScriptsAgreeWithScratchBuild) {
         << entry.path() << ": " << scr_status.ToString();
     EXPECT_EQ(StripCacheLines(inc_out), StripCacheLines(scr_out))
         << entry.path();
-    EXPECT_EQ(Tst::Build(inc.manager().table()).ToString(),
-              Tst::Build(scr.manager().table()).ToString())
+    EXPECT_EQ(Tst::Build(inc_backend.manager().table()).ToString(),
+              Tst::Build(scr_backend.manager().table()).ToString())
         << entry.path();
   }
   EXPECT_GE(count, 4u);

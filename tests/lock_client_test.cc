@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <thread>
 
@@ -185,6 +186,25 @@ TEST(InProcessClientTest, ViewsRender) {
   auto costs = (*client)->View(ServiceView::kCosts);
   ASSERT_TRUE(costs.ok());
   EXPECT_NE(costs->find("T1:"), std::string::npos);
+}
+
+TEST(InProcessClientTest, SetCostRejectsNonFiniteAndNegative) {
+  auto service = MakeService();
+  auto client = InProcessClient::Create(service.get());
+  ASSERT_TRUE(client.ok());
+
+  auto tid = (*client)->Begin();
+  ASSERT_TRUE(tid.ok());
+  ASSERT_TRUE((*client)->Acquire(*tid, 1, lock::LockMode::kS).ok());
+  ASSERT_TRUE((*client)->SetCost(*tid, 3.0).ok());
+  for (double bad : {std::nan(""), -1.0, HUGE_VAL}) {
+    EXPECT_TRUE((*client)->SetCost(*tid, bad).IsInvalidArgument()) << bad;
+  }
+  // A rejected cost leaves the pinned one in place; zero is allowed.
+  auto costs = (*client)->View(ServiceView::kCosts);
+  ASSERT_TRUE(costs.ok());
+  EXPECT_NE(costs->find("T1: 3.00"), std::string::npos) << *costs;
+  EXPECT_TRUE((*client)->SetCost(*tid, 0.0).ok());
 }
 
 TEST(InProcessClientTest, StatsReportServiceCountersZeroSessions) {

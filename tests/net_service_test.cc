@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -124,6 +125,20 @@ TEST(NetServiceTest, SessionLifecycle) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->sessions_active, 1u);
   EXPECT_EQ(stats->sessions_total, 1u);
+}
+
+TEST(NetServiceTest, SetCostRejectsNonFiniteAndNegative) {
+  Harness harness = StartServer();
+  auto client = Connect(harness);
+  auto tid = client->Begin();
+  ASSERT_TRUE(tid.ok());
+  // The wire carries any F64; the service checks it.
+  for (double bad : {std::nan(""), -1.0, -HUGE_VAL}) {
+    Status status = client->SetCost(*tid, bad);
+    EXPECT_TRUE(status.IsInvalidArgument()) << bad << ": "
+                                            << status.ToString();
+  }
+  EXPECT_TRUE(client->SetCost(*tid, 2.5).ok());
 }
 
 TEST(NetServiceTest, ServerSideAwaitUnblocksOnGrant) {

@@ -320,8 +320,9 @@ TEST(ObsIntegrationTest, SimulatorSurfacesTraceDrops) {
 
 TEST(ObsIntegrationTest, ScriptRunnerStreamsParseableJsonl) {
   const std::string path = ::testing::TempDir() + "twbg_obs_events.jsonl";
-  core::ScriptRunner runner;
-  ASSERT_TRUE(runner.StreamEventsTo(path).ok());
+  core::LockManagerBackend backend;
+  core::ScriptRunner runner(&backend);
+  ASSERT_TRUE(backend.StreamEventsTo(path).ok());
   std::string out;
   ASSERT_TRUE(runner
                   .ExecuteScript("acquire 1 1 S\n"

@@ -247,7 +247,8 @@ TEST(ParallelScenarioTest, ScriptsYieldIdenticalReports) {
     ++count;
     std::ifstream file(entry.path());
     ASSERT_TRUE(file.good()) << entry.path();
-    ScriptRunner seq_runner, par_runner;
+    LockManagerBackend seq_backend, par_backend;
+    ScriptRunner seq_runner(&seq_backend), par_runner(&par_backend);
     std::string line;
     while (std::getline(file, line)) {
       // Keep only the state-building commands; the script's own `detect`
@@ -268,14 +269,14 @@ TEST(ParallelScenarioTest, ScriptsYieldIdenticalReports) {
     PeriodicDetector seq;
     ParallelPeriodicDetector par({}, &pool);
     ResolutionReport seq_report =
-        seq.RunPass(seq_runner.manager(), seq_runner.costs());
+        seq.RunPass(seq_backend.manager(), seq_backend.costs());
     ResolutionReport par_report =
-        par.RunPass(par_runner.manager(), par_runner.costs());
+        par.RunPass(par_backend.manager(), par_backend.costs());
     EXPECT_EQ(seq_report.ToString(), par_report.ToString()) << entry.path();
-    EXPECT_EQ(Tst::Build(seq_runner.manager().table()).ToString(),
-              Tst::Build(par_runner.manager().table()).ToString())
+    EXPECT_EQ(Tst::Build(seq_backend.manager().table()).ToString(),
+              Tst::Build(par_backend.manager().table()).ToString())
         << entry.path();
-    EXPECT_TRUE(par_runner.manager().CheckInvariants().ok()) << entry.path();
+    EXPECT_TRUE(par_backend.manager().CheckInvariants().ok()) << entry.path();
   }
   EXPECT_GE(count, 4u);
 }

@@ -1,8 +1,9 @@
 // Copyright (c) the twbg authors. Licensed under the MIT license.
 //
 // Executes every checked-in scenario script (scenarios/*.twbg) through the
-// ScriptRunner; the scripts carry their own `expect*` assertions, so this
-// doubles as a golden-behaviour test of the whole stack.
+// ScriptRunner over the raw back end; the scripts carry their own
+// `expect*` assertions, so this doubles as a behaviour test of the whole
+// stack.
 
 #include <gtest/gtest.h>
 
@@ -37,7 +38,8 @@ TEST_P(ScenarioFileTest, RunsCleanly) {
   ASSERT_TRUE(file.good()) << GetParam();
   std::stringstream buffer;
   buffer << file.rdbuf();
-  ScriptRunner runner;
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
   std::string out;
   Status status = runner.ExecuteScript(buffer.str(), &out);
   EXPECT_TRUE(status.ok()) << GetParam() << ": " << status.ToString()

@@ -8,7 +8,8 @@ namespace twbg::core {
 namespace {
 
 TEST(ScriptTest, AcquireAndExpect) {
-  ScriptRunner runner;
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
   std::string out;
   EXPECT_TRUE(runner.ExecuteLine("acquire 1 1 X", &out).ok());
   EXPECT_TRUE(runner.ExecuteLine("expect granted", &out).ok());
@@ -19,14 +20,16 @@ TEST(ScriptTest, AcquireAndExpect) {
 }
 
 TEST(ScriptTest, IdsAcceptLetterPrefixes) {
-  ScriptRunner runner;
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
   std::string out;
   EXPECT_TRUE(runner.ExecuteLine("acquire T1 R10 SIX", &out).ok());
-  EXPECT_NE(runner.manager().table().Find(10), nullptr);
+  EXPECT_NE(backend.manager().table().Find(10), nullptr);
 }
 
 TEST(ScriptTest, CommentsAndBlanksAreIgnored) {
-  ScriptRunner runner;
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
   std::string out;
   EXPECT_TRUE(runner.ExecuteLine("", &out).ok());
   EXPECT_TRUE(runner.ExecuteLine("   # just a comment", &out).ok());
@@ -35,13 +38,51 @@ TEST(ScriptTest, CommentsAndBlanksAreIgnored) {
 }
 
 TEST(ScriptTest, UnknownCommandAndBadArgs) {
-  ScriptRunner runner;
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
   std::string out;
   EXPECT_TRUE(runner.ExecuteLine("frobnicate", &out).IsInvalidArgument());
   EXPECT_TRUE(runner.ExecuteLine("acquire 1 1", &out).IsInvalidArgument());
   EXPECT_TRUE(runner.ExecuteLine("acquire x y Z", &out).IsInvalidArgument());
   EXPECT_TRUE(runner.ExecuteLine("expect granted", &out)
                   .IsFailedPrecondition());
+}
+
+TEST(ScriptTest, CostRejectsBadValues) {
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
+  std::string out;
+  ASSERT_TRUE(runner.ExecuteLine("acquire 1 1 X", &out).ok());
+  for (const char* line : {"cost 1 abc", "cost 1 2x", "cost 1 nan",
+                           "cost 1 -1", "cost 1 inf"}) {
+    EXPECT_TRUE(runner.ExecuteLine(line, &out).IsInvalidArgument()) << line;
+  }
+  EXPECT_EQ(backend.costs().size(), 0u);
+  ASSERT_TRUE(runner.ExecuteLine("cost 1 2.5", &out).ok());
+  EXPECT_EQ(backend.costs().Get(1), 2.5);
+}
+
+TEST(ScriptTest, ZeroOperandCommandsRejectOperands) {
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
+  std::string out;
+  Status status = runner.ExecuteLine("detect now", &out);
+  EXPECT_TRUE(status.IsInvalidArgument());
+  EXPECT_EQ(status.message(), "usage: detect");
+  EXPECT_FALSE(backend.last_report().has_value());
+}
+
+TEST(ScriptTest, HelpListsEveryCommand) {
+  const std::string help = ScriptRunner::Help();
+  for (const char* usage :
+       {"acquire <txn> <resource> <mode>", "release <txn>",
+        "cost <txn> <value>", "detect",
+        "table | graph | tst | dot | cycles | oracle | costs",
+        "expect granted|blocked|alreadyheld", "expect-deadlock yes|no",
+        "expect-aborted <txn> ...", "obs", "postmortem", "reset"}) {
+    EXPECT_NE(help.find(std::string("  ") + usage), std::string::npos)
+        << usage;
+  }
 }
 
 TEST(ScriptTest, FullExample51Script) {
@@ -66,7 +107,8 @@ detect
 expect-aborted 2
 expect-deadlock no
 )";
-  ScriptRunner runner;
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
   std::string out;
   Status status = runner.ExecuteScript(kScript, &out);
   EXPECT_TRUE(status.ok()) << status.ToString() << "\n" << out;
@@ -74,7 +116,8 @@ expect-deadlock no
 }
 
 TEST(ScriptTest, ScriptErrorsCarryLineNumbers) {
-  ScriptRunner runner;
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
   std::string out;
   Status status = runner.ExecuteScript("acquire 1 1 X\nbogus\n", &out);
   ASSERT_FALSE(status.ok());
@@ -82,7 +125,8 @@ TEST(ScriptTest, ScriptErrorsCarryLineNumbers) {
 }
 
 TEST(ScriptTest, ViewsProduceOutput) {
-  ScriptRunner runner;
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
   std::string out;
   ASSERT_TRUE(runner.ExecuteScript("acquire 1 1 X\nacquire 2 1 S\n", &out)
                   .ok());
@@ -107,7 +151,8 @@ TEST(ScriptTest, ViewsProduceOutput) {
 }
 
 TEST(ScriptTest, CyclesView) {
-  ScriptRunner runner;
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
   std::string out;
   ASSERT_TRUE(runner
                   .ExecuteScript(
@@ -121,25 +166,28 @@ TEST(ScriptTest, CyclesView) {
 }
 
 TEST(ScriptTest, ResetClearsState) {
-  ScriptRunner runner;
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
   std::string out;
   ASSERT_TRUE(runner.ExecuteLine("acquire 1 1 X", &out).ok());
   ASSERT_TRUE(runner.ExecuteLine("reset", &out).ok());
-  EXPECT_TRUE(runner.manager().table().empty());
-  EXPECT_FALSE(runner.last_report().has_value());
+  EXPECT_TRUE(backend.manager().table().empty());
+  EXPECT_FALSE(backend.last_report().has_value());
 }
 
 TEST(ScriptTest, EchoMode) {
   ScriptOptions options;
   options.echo = true;
-  ScriptRunner runner(options);
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend, options);
   std::string out;
   ASSERT_TRUE(runner.ExecuteLine("acquire 1 1 X", &out).ok());
   EXPECT_NE(out.find("> acquire 1 1 X"), std::string::npos);
 }
 
 TEST(ScriptTest, ReleaseGrantsWaiters) {
-  ScriptRunner runner;
+  LockManagerBackend backend;
+  ScriptRunner runner(&backend);
   std::string out;
   ASSERT_TRUE(runner.ExecuteScript(
                       "acquire 1 1 X\nacquire 2 1 S\nacquire 3 1 S\n", &out)

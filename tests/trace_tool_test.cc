@@ -171,8 +171,9 @@ const std::string& Example41Trace() {
                            "/example41.twbg");
     std::stringstream script;
     script << scenario.rdbuf();
-    core::ScriptRunner runner;
-    Status stream = runner.StreamEventsTo(*p);
+    core::LockManagerBackend backend;
+    core::ScriptRunner runner(&backend);
+    Status stream = backend.StreamEventsTo(*p);
     if (!stream.ok()) ADD_FAILURE() << stream.message();
     std::string out;
     Status run = runner.ExecuteScript(script.str(), &out);
