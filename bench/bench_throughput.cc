@@ -30,9 +30,12 @@
 // is the subject; detection cost is bench_steady_state's subject and
 // pauses are bench_pauseless's).  theta < 0 denotes the *uncontended*
 // cell: every transaction owns a private resource range, so no request
-// ever blocks and the run measures the raw acquire/release path.  CI's
-// perf-smoke job gates the uncontended sequential cell on ops/sec and
-// every steady-state cell on allocations/op (see .github/workflows).
+// ever blocks and the run measures the raw acquire/release path.  Each
+// concurrent cell also records `txn_mu_per_op`, the transaction-table
+// mutex acquisitions per Begin / acquire / commit.  CI's perf-smoke job
+// gates the uncontended sequential cell on ops/sec, every steady-state
+// cell on allocations/op, and every uncontended concurrent cell on 0
+// txn_mu_ acquisitions per acquire (see .github/workflows).
 //
 // Usage: bench_throughput [ops_per_cell] [out.json]
 
@@ -43,12 +46,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "common/zipf.h"
 #include "txn/concurrent_service.h"
 #include "txn/transaction_manager.h"
@@ -109,6 +114,11 @@ struct CellResult {
   double allocs_per_op = 0;
   uint64_t acquire_p50_ns = 0;
   uint64_t acquire_p99_ns = 0;
+  // Concurrent cells: transaction-table mutex acquisitions per Begin,
+  // per acquire and per commit/abort over the measured window.
+  double txn_mu_per_begin = 0;
+  double txn_mu_per_acquire = 0;
+  double txn_mu_per_end = 0;
 
   bool uncontended() const { return theta < 0; }
 };
@@ -297,14 +307,35 @@ CellResult RunConcurrent(size_t txns, double theta, size_t resources,
 
   const size_t per_thread_txns = txns / threads;
   std::vector<std::vector<uint64_t>> latencies(threads);
+  // Measured-window txn_mu_ acquisitions and calls, per operation kind
+  // ({Begin, acquire, commit/abort}), summed over the workers.
+  std::mutex mu_counts_mu;
+  uint64_t mu_acquisitions[3] = {};
+  uint64_t mu_calls[3] = {};
 
   auto worker = [&](size_t worker_index) {
     RidSource rids(theta, resources,
                    0xbadc0ffee ^ (worker_index * 7919) ^ txns);
     std::vector<uint64_t>& lat = latencies[worker_index];
     size_t local_ops = 0;
+    uint64_t local_mu[3] = {}, local_calls[3] = {};
+    // Runs `op` and charges its txn_mu_ acquisitions (the counter is the
+    // calling thread's) to `kind` while the window is open.
+    const auto counted = [&](int kind, auto op) {
+      const uint64_t before =
+          txn::ConcurrentLockService::txn_mu_acquisitions_this_thread();
+      auto result = op();
+      if (measuring.load(std::memory_order_relaxed)) {
+        local_mu[kind] +=
+            txn::ConcurrentLockService::txn_mu_acquisitions_this_thread() -
+            before;
+        ++local_calls[kind];
+      }
+      return result;
+    };
     while (!stop.load(std::memory_order_relaxed)) {
-      const lock::TransactionId tid = *service->Begin();
+      const lock::TransactionId tid =
+          *counted(0, [&] { return service->Begin(); });
       const size_t slot = worker_index * per_thread_txns +
                           (local_ops / (kLocksPerTxn + 1)) % per_thread_txns;
       Plan plan = MakePlan(rids, slot);
@@ -313,7 +344,8 @@ CellResult RunConcurrent(size_t txns, double theta, size_t resources,
         const bool sample = measuring.load(std::memory_order_relaxed) &&
                             local_ops % kLatencySampleEvery == 0;
         const uint64_t t0 = sample ? NowNs() : 0;
-        Status status = service->AcquireBlocking(tid, rid, mode);
+        Status status = counted(
+            1, [&] { return service->AcquireBlocking(tid, rid, mode); });
         if (sample) lat.push_back(NowNs() - t0);
         ++local_ops;
         ops.fetch_add(1, std::memory_order_relaxed);
@@ -324,13 +356,20 @@ CellResult RunConcurrent(size_t txns, double theta, size_t resources,
         if (stop.load(std::memory_order_relaxed)) break;
       }
       if (dead) {
-        (void)service->Abort(tid);
+        (void)counted(2, [&] { return service->Abort(tid); });
         aborted.fetch_add(1, std::memory_order_relaxed);
       } else {
-        if (service->Commit(tid).ok()) {
+        if (counted(2, [&] { return service->Commit(tid); }).ok()) {
           committed.fetch_add(1, std::memory_order_relaxed);
         }
         ops.fetch_add(1, std::memory_order_relaxed);  // the release
+      }
+    }
+    {
+      std::scoped_lock lk(mu_counts_mu);
+      for (int kind = 0; kind < 3; ++kind) {
+        mu_acquisitions[kind] += local_mu[kind];
+        mu_calls[kind] += local_calls[kind];
       }
     }
     done_workers.fetch_add(1, std::memory_order_relaxed);
@@ -409,6 +448,14 @@ CellResult RunConcurrent(size_t txns, double theta, size_t resources,
   }
   cell.acquire_p50_ns = Percentile(merged, 0.50);
   cell.acquire_p99_ns = Percentile(merged, 0.99);
+  const auto per_call = [&](int kind) {
+    return mu_calls[kind] == 0 ? 0.0
+                               : static_cast<double>(mu_acquisitions[kind]) /
+                                     static_cast<double>(mu_calls[kind]);
+  };
+  cell.txn_mu_per_begin = per_call(0);
+  cell.txn_mu_per_acquire = per_call(1);
+  cell.txn_mu_per_end = per_call(2);
   return cell;
 }
 
@@ -481,13 +528,20 @@ int main(int argc, char** argv) {
         "\"shards\": %zu, \"threads\": %zu, \"ops\": %zu, "
         "\"committed\": %zu, \"aborted\": %zu, \"ops_per_sec\": %.0f, "
         "\"allocs_per_op\": %.4f, \"acquire_p50_ns\": %llu, "
-        "\"acquire_p99_ns\": %llu, \"uncontended\": %s}%s\n",
+        "\"acquire_p99_ns\": %llu, \"uncontended\": %s%s}%s\n",
         c.engine.c_str(), c.txns,
         c.uncontended() ? "null" : std::to_string(c.theta).c_str(), c.shards,
         c.threads, c.ops, c.committed, c.aborted, c.ops_per_sec,
         c.allocs_per_op, static_cast<unsigned long long>(c.acquire_p50_ns),
         static_cast<unsigned long long>(c.acquire_p99_ns),
         c.uncontended() ? "true" : "false",
+        c.engine == "concurrent"
+            ? common::Format(", \"txn_mu_per_op\": {\"begin\": %.4f, "
+                             "\"acquire\": %.4f, \"commit\": %.4f}",
+                             c.txn_mu_per_begin, c.txn_mu_per_acquire,
+                             c.txn_mu_per_end)
+                  .c_str()
+            : "",
         i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

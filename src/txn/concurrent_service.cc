@@ -3,6 +3,7 @@
 #include "txn/concurrent_service.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "common/string_util.h"
@@ -15,6 +16,16 @@ namespace twbg::txn {
 namespace {
 
 constexpr size_t kMaxShards = 64;  // shard_mask is a uint64_t bitmask
+
+// Transaction-table geometry: records are allocated kSlabChunk at a time;
+// the tid index starts at kMinIndexSize slots and doubles whenever it has
+// fewer than kIndexSlotsPerRecord slots per allocated record.
+constexpr size_t kSlabChunk = 64;
+constexpr size_t kMinIndexSize = 64;
+constexpr size_t kIndexSlotsPerRecord = 4;
+
+// txn_mu_ acquisitions by this thread (txn_mu_acquisitions_this_thread).
+thread_local uint64_t t_txn_mu_acquisitions = 0;
 
 // Debug tripwire for the pauseless pass: nonzero while this thread runs
 // the detached detect phase over the sealed mirrors, during which it must
@@ -124,10 +135,9 @@ class ConcurrentLockService::PassHost final
 
   std::vector<lock::TransactionId> ReleaseAll(
       lock::TransactionId tid) override {
-    auto it = service_.txns_.find(tid);
-    const uint64_t mask =
-        it == service_.txns_.end() ? ~uint64_t{0} : it->second.shard_mask;
-    return service_.ReleaseAllShardsLocked(tid, mask);
+    const TxnRecord* rec = service_.Find(tid);
+    return service_.ReleaseAllShardsLocked(
+        tid, rec == nullptr ? ~uint64_t{0} : rec->shard_mask.load());
   }
   std::vector<lock::TransactionId> Reschedule(lock::ResourceId rid) override {
     return shard(rid).lm.Reschedule(rid);
@@ -155,6 +165,8 @@ ConcurrentLockService::ConcurrentLockService(ConcurrentServiceOptions options)
   }
   bus_ = options_.event_bus;
   tracer_ = options_.span_tracer;
+  indexes_.push_back(std::make_unique<TxnIndex>(kMinIndexSize));
+  index_.store(indexes_.back().get(), std::memory_order_release);
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
@@ -274,28 +286,193 @@ void ConcurrentLockService::CloseSpanStandalone(uint64_t id, uint64_t a,
   tracer_->Close(id, a, b, std::move(label));
 }
 
+std::unique_lock<std::mutex> ConcurrentLockService::LockTxnTable() const {
+  ++t_txn_mu_acquisitions;
+  return std::unique_lock<std::mutex>(txn_mu_);
+}
+
+uint64_t ConcurrentLockService::txn_mu_acquisitions_this_thread() {
+  return t_txn_mu_acquisitions;
+}
+
+ConcurrentLockService::TxnRecord* ConcurrentLockService::Find(
+    lock::TransactionId tid) const {
+  if (tid == lock::kInvalidTransaction) return nullptr;  // 0 marks free
+  const TxnIndex* index = index_.load(std::memory_order_acquire);
+  const size_t probes = index->max_probe.load(std::memory_order_acquire);
+  for (size_t d = 0; d <= probes; ++d) {
+    TxnRecord* rec =
+        index->slots[(tid + d) & index->mask].load(std::memory_order_acquire);
+    if (rec != nullptr && rec->tid.load(std::memory_order_acquire) == tid) {
+      return rec;
+    }
+  }
+  return nullptr;
+}
+
+Result<TxnState> ConcurrentLockService::StateLocked(lock::TransactionId tid,
+                                                    TxnRecord** rec) const {
+  *rec = Find(tid);
+  if (*rec != nullptr) return (*rec)->state.load(std::memory_order_acquire);
+  if (tid == lock::kInvalidTransaction || tid >= next_tid_) {
+    return Status::NotFound(common::Format("unknown transaction T%u", tid));
+  }
+  const size_t word = tid / 64;
+  const bool aborted = word < aborted_bits_.size() &&
+                       (aborted_bits_[word] >> (tid % 64) & 1) != 0;
+  return aborted ? TxnState::kAborted : TxnState::kCommitted;
+}
+
+ConcurrentLockService::TxnRecord& ConcurrentLockService::AllocateLocked(
+    lock::TransactionId tid) {
+  if (free_records_.empty()) {
+    slab_.push_back(std::make_unique<TxnRecord[]>(kSlabChunk));
+    for (size_t i = kSlabChunk; i-- > 0;) {
+      free_records_.push_back(&slab_.back()[i]);
+    }
+  }
+  TxnRecord& rec = *free_records_.back();
+  free_records_.pop_back();
+  rec.state.store(TxnState::kActive, std::memory_order_relaxed);
+  rec.begin_ts = next_ts_.fetch_add(1, std::memory_order_relaxed);
+  rec.shard_mask.store(0, std::memory_order_relaxed);
+  rec.locks_granted.store(0, std::memory_order_relaxed);
+  rec.ops_executed.store(0, std::memory_order_relaxed);
+  rec.wait_shard.store(0, std::memory_order_relaxed);
+  rec.cost_pinned.store(false, std::memory_order_relaxed);
+  rec.parked.store(0, std::memory_order_relaxed);
+  rec.deadline_expiries = 0;
+  rec.blocked_sweeps = 0;
+  rec.tid.store(tid, std::memory_order_release);
+  IndexLocked(rec);
+  return rec;
+}
+
+void ConcurrentLockService::IndexLocked(TxnRecord& rec) {
+  const auto place = [](TxnIndex& index, TxnRecord& r) {
+    const lock::TransactionId tid = r.tid.load(std::memory_order_relaxed);
+    for (size_t d = 0;; ++d) {
+      std::atomic<TxnRecord*>& slot = index.slots[(tid + d) & index.mask];
+      if (slot.load(std::memory_order_relaxed) != nullptr) continue;
+      if (d > index.max_probe.load(std::memory_order_relaxed)) {
+        index.max_probe.store(d, std::memory_order_release);
+      }
+      slot.store(&r, std::memory_order_release);
+      return;
+    }
+  };
+  TxnIndex* index = index_.load(std::memory_order_relaxed);
+  const size_t records = slab_.size() * kSlabChunk - free_records_.size();
+  size_t size = index->mask + 1;
+  if (size >= kIndexSlotsPerRecord * records) {
+    place(*index, rec);
+    return;
+  }
+  // Grow: re-place every allocated record (this one included) in a larger
+  // index, published once complete.
+  while (size < kIndexSlotsPerRecord * records) size *= 2;
+  indexes_.push_back(std::make_unique<TxnIndex>(size));
+  for (const auto& chunk : slab_) {
+    for (size_t i = 0; i < kSlabChunk; ++i) {
+      if (chunk[i].tid.load(std::memory_order_relaxed) != 0) {
+        place(*indexes_.back(), chunk[i]);
+      }
+    }
+  }
+  index_.store(indexes_.back().get(), std::memory_order_release);
+}
+
+std::vector<ConcurrentLockService::TxnRecord*>
+ConcurrentLockService::LiveRecordsLocked() const {
+  std::vector<TxnRecord*> live;
+  for (const auto& chunk : slab_) {
+    for (size_t i = 0; i < kSlabChunk; ++i) {
+      const TxnState state = chunk[i].state.load(std::memory_order_relaxed);
+      if (chunk[i].tid.load(std::memory_order_relaxed) != 0 &&
+          state != TxnState::kCommitted && state != TxnState::kAborted) {
+        live.push_back(&chunk[i]);
+      }
+    }
+  }
+  std::sort(live.begin(), live.end(), [](TxnRecord* a, TxnRecord* b) {
+    return a->tid.load(std::memory_order_relaxed) <
+           b->tid.load(std::memory_order_relaxed);
+  });
+  return live;
+}
+
+core::CostTable ConcurrentLockService::CostSnapshotLocked() const {
+  core::CostTable costs;
+  for (const TxnRecord* rec : LiveRecordsLocked()) {
+    costs.Set(rec->tid.load(std::memory_order_relaxed),
+              rec->cost.load(std::memory_order_relaxed));
+  }
+  return costs;
+}
+
+double ConcurrentLockService::CostLocked(lock::TransactionId tid) const {
+  const TxnRecord* rec = Find(tid);
+  return rec == nullptr ? 1.0 : rec->cost.load(std::memory_order_relaxed);
+}
+
+void ConcurrentLockService::FinishLocked(TxnRecord& rec, TxnState to) {
+  const lock::TransactionId tid = rec.tid.load(std::memory_order_relaxed);
+  SetStateLocked(tid, rec, to);
+  live_txns_.fetch_sub(1, std::memory_order_relaxed);
+  if (to == TxnState::kAborted) {
+    const size_t word = tid / 64;
+    if (word >= aborted_bits_.size()) aborted_bits_.resize(word + 1, 0);
+    aborted_bits_[word] |= uint64_t{1} << (tid % 64);
+  }
+  if (rec.parked.fetch_or(1, std::memory_order_acq_rel) == 0) {
+    ReclaimLocked(rec);
+  }
+}
+
+void ConcurrentLockService::ReclaimLocked(TxnRecord& rec) {
+  const lock::TransactionId tid = rec.tid.load(std::memory_order_relaxed);
+  TxnIndex* index = index_.load(std::memory_order_relaxed);
+  for (size_t d = 0;; ++d) {
+    std::atomic<TxnRecord*>& slot = index->slots[(tid + d) & index->mask];
+    if (slot.load(std::memory_order_relaxed) == &rec) {
+      slot.store(nullptr, std::memory_order_release);
+      break;
+    }
+  }
+  rec.tid.store(0, std::memory_order_release);
+  free_records_.push_back(&rec);
+}
+
+void ConcurrentLockService::Unpark(const TxnRecord& rec) {
+  if (rec.parked.fetch_sub(2, std::memory_order_acq_rel) == 3) {
+    // The transaction terminated while we were parked on it, and we were
+    // the last waiter: the record is ours to recycle.
+    std::unique_lock<std::mutex> tl = LockTxnTable();
+    ReclaimLocked(const_cast<TxnRecord&>(rec));
+  }
+}
+
 Result<lock::TransactionId> ConcurrentLockService::Begin() {
-  std::scoped_lock tl(txn_mu_);
+  std::unique_lock<std::mutex> tl = LockTxnTable();
   const robustness::AdmissionOptions& adm = options_.robustness.admission;
   if (adm.max_inflight_txns != 0) {
     robustness::AdmissionContext ctx;
-    ctx.inflight_txns = live_txns_;
+    ctx.inflight_txns = live_txns_.load(std::memory_order_relaxed);
     Status admitted = robustness::WatermarkAdmission(adm).AdmitBegin(ctx);
     if (!admitted.ok()) {
       admission_rejects_.fetch_add(1, std::memory_order_relaxed);
       obs::Event event;
       event.kind = obs::EventKind::kAdmissionReject;
-      event.a = live_txns_;
+      event.a = ctx.inflight_txns;
       event.b = adm.max_inflight_txns;
       EmitStandalone(std::move(event));
       return admitted;
     }
   }
   const lock::TransactionId tid = next_tid_++;
-  TxnRecord& rec = txns_[tid];
-  rec.begin_ts = next_ts_++;
-  ++live_txns_;
-  RefreshCostLocked(tid, rec);
+  TxnRecord& rec = AllocateLocked(tid);
+  live_txns_.fetch_add(1, std::memory_order_relaxed);
+  RefreshCost(rec);
   if (observed()) {
     std::scoped_lock ol(obs_mu_);
     if (obs::Enabled(bus_)) {
@@ -313,21 +490,28 @@ Result<lock::RequestOutcome> ConcurrentLockService::RequestLocked(
     lock::TransactionId tid, lock::ResourceId rid, lock::LockMode mode,
     size_t shard_index, TxnRecord** rec_out) {
   Shard& shard = *shards_[shard_index];
-  std::scoped_lock tl(txn_mu_);
-  auto it = txns_.find(tid);
-  if (it == txns_.end()) {
-    return Status::NotFound(common::Format("unknown transaction T%u", tid));
+  // Only this transaction's own operation can move it out of kActive, so
+  // a kActive record found here stays ours for the whole request.
+  TxnRecord* found = Find(tid);
+  TxnState state = TxnState::kActive;
+  if (found != nullptr) {
+    state = found->state.load(std::memory_order_acquire);
+  } else {  // finished or unknown
+    std::unique_lock<std::mutex> tl = LockTxnTable();
+    Result<TxnState> known = StateLocked(tid, &found);
+    if (!known.ok()) return known.status();
+    state = *known;
   }
-  TxnRecord& rec = it->second;
-  const TxnState state = rec.state.load(std::memory_order_relaxed);
   if (state != TxnState::kActive) {
     return Status::FailedPrecondition(
         common::Format("T%u is %s and cannot request locks", tid,
                        std::string(ToString(state)).c_str()));
   }
+  TxnRecord& rec = *found;
   // Record the routing before the request: commits/aborts must lock this
   // shard even if the request errors after registering the txn.
-  rec.shard_mask |= uint64_t{1} << shard_index;
+  rec.shard_mask.fetch_or(uint64_t{1} << shard_index,
+                          std::memory_order_relaxed);
   // Backpressure: shed requests that would deepen an already saturated
   // shard.  Holders are exempt — a conversion must be allowed through or
   // the holder could never finish and drain the queue.
@@ -337,7 +521,7 @@ Result<lock::RequestOutcome> ConcurrentLockService::RequestLocked(
     const bool holder = res != nullptr && res->FindHolder(tid) != nullptr;
     if (!holder) {
       robustness::AdmissionContext ctx;
-      ctx.inflight_txns = live_txns_;
+      ctx.inflight_txns = live_txns_.load(std::memory_order_relaxed);
       ctx.queue_depth = shard.lm.BlockedTransactions().size();
       Status admitted =
           robustness::WatermarkAdmission(options_.robustness.admission)
@@ -359,19 +543,15 @@ Result<lock::RequestOutcome> ConcurrentLockService::RequestLocked(
   if (observed()) ol.lock();
   Result<lock::RequestOutcome> result = shard.lm.Acquire(tid, rid, mode);
   if (!result.ok()) return result.status();
-  rec.ops_executed++;
-  RefreshCostLocked(tid, rec);
-  switch (*result) {
-    case lock::RequestOutcome::kGranted:
-      rec.locks_granted++;
-      RefreshCostLocked(tid, rec);
-      break;
-    case lock::RequestOutcome::kAlreadyHeld:
-      break;
-    case lock::RequestOutcome::kBlocked:
-      rec.state.store(TxnState::kBlocked, std::memory_order_relaxed);
-      rec.wait_shard = shard_index;
-      break;
+  rec.ops_executed.fetch_add(1, std::memory_order_relaxed);
+  if (*result == lock::RequestOutcome::kGranted) {
+    rec.locks_granted.fetch_add(1, std::memory_order_relaxed);
+  }
+  RefreshCost(rec);
+  if (*result == lock::RequestOutcome::kBlocked) {
+    rec.wait_shard.store(static_cast<uint8_t>(shard_index),
+                         std::memory_order_relaxed);
+    rec.state.store(TxnState::kBlocked, std::memory_order_release);
   }
   *rec_out = &rec;
   return *result;
@@ -391,12 +571,11 @@ Status ConcurrentLockService::AcquireBlocking(lock::TransactionId tid,
     // order forbids doing that while one is held).
     std::optional<robustness::Fault> fault;
     {
-      std::scoped_lock tl(txn_mu_);
-      auto it = txns_.find(tid);
-      if (it != txns_.end() &&
-          it->second.state.load(std::memory_order_relaxed) ==
-              TxnState::kActive) {
-        fault = injector_->TakeAcquireFault(tid, it->second.ops_executed);
+      std::unique_lock<std::mutex> tl = LockTxnTable();
+      const TxnRecord* rec = Find(tid);
+      if (rec != nullptr && rec->state.load(std::memory_order_relaxed) ==
+                                TxnState::kActive) {
+        fault = injector_->TakeAcquireFault(tid, rec->ops_executed.load());
       }
     }
     if (fault.has_value()) {
@@ -427,6 +606,7 @@ Status ConcurrentLockService::AcquireBlocking(lock::TransactionId tid,
   shard.hold_ns += static_cast<uint64_t>(hold.ElapsedNanos());
   if (!outcome.ok()) return outcome.status();
   if (*outcome == lock::RequestOutcome::kBlocked) {
+    rec->parked.fetch_add(2, std::memory_order_relaxed);
     Status waited = WaitUnblocked(tid, shard, sl, *rec,
                                   options_.robustness.deadline.lock_wait);
     if (!waited.ok()) return waited;
@@ -440,16 +620,18 @@ Status ConcurrentLockService::AcquireBlocking(lock::TransactionId tid,
 
 Status ConcurrentLockService::Await(lock::TransactionId tid) {
   TWBG_DCHECK(t_in_sealed_detect == 0);
-  const TxnRecord* rec = nullptr;
+  TxnRecord* rec = nullptr;
   Shard* shard = nullptr;
   {
-    std::scoped_lock tl(txn_mu_);
-    auto it = txns_.find(tid);
-    if (it == txns_.end()) {
-      return Status::NotFound(common::Format("unknown transaction T%u", tid));
+    std::unique_lock<std::mutex> tl = LockTxnTable();
+    Result<TxnState> state = StateLocked(tid, &rec);
+    if (!state.ok() || *state != TxnState::kBlocked) {
+      return AwaitStatus(tid, state);
     }
-    rec = &it->second;  // records are never erased
-    shard = shards_[rec->wait_shard].get();
+    // Registered before txn_mu_ is dropped: the record cannot be recycled
+    // under us even if a pass aborts the transaction before we park.
+    rec->parked.fetch_add(2, std::memory_order_relaxed);
+    shard = shards_[rec->wait_shard.load(std::memory_order_relaxed)].get();
   }
   // A wait that ends before we hold the shard mutex is no lost wakeup:
   // WaitUnblocked checks its predicate under the mutex before parking.
@@ -462,6 +644,13 @@ Status ConcurrentLockService::WaitUnblocked(lock::TransactionId tid,
                                             std::unique_lock<std::mutex>& sl,
                                             const TxnRecord& rec,
                                             uint64_t deadline_us) {
+  // The status is computed before the registration drops (locals are
+  // destroyed after the return value is built).
+  struct Registration {
+    ConcurrentLockService* service;
+    const TxnRecord& rec;
+    ~Registration() { service->Unpark(rec); }
+  } registration{this, rec};
   // Whoever grants or aborts tid holds this shard's mutex (the rid is in
   // the granter's release set; the detector holds every shard), so the
   // change cannot slip in between the predicate check and the park.
@@ -497,7 +686,7 @@ Status ConcurrentLockService::WaitUnblocked(lock::TransactionId tid,
 
 void ConcurrentLockService::SetUnblockListener(
     std::function<void(lock::TransactionId)> listener) {
-  std::scoped_lock tl(txn_mu_);
+  std::unique_lock<std::mutex> tl = LockTxnTable();
   unblock_listener_ = std::move(listener);
 }
 
@@ -519,30 +708,28 @@ Result<lock::RequestOutcome> ConcurrentLockService::AcquireAsync(
 
 Status ConcurrentLockService::SetCost(lock::TransactionId tid, double cost) {
   TWBG_RETURN_IF_ERROR(core::CheckAbortCost(cost));
-  std::scoped_lock tl(txn_mu_);
-  auto it = txns_.find(tid);
-  if (it == txns_.end()) {
-    return Status::NotFound(common::Format("unknown transaction T%u", tid));
-  }
-  TxnRecord& rec = it->second;
-  const TxnState state = rec.state.load(std::memory_order_relaxed);
-  if (state == TxnState::kCommitted || state == TxnState::kAborted) {
+  std::unique_lock<std::mutex> tl = LockTxnTable();
+  TxnRecord* rec = nullptr;
+  Result<TxnState> state = StateLocked(tid, &rec);
+  if (!state.ok()) return state.status();
+  if (rec == nullptr || *state == TxnState::kCommitted ||
+      *state == TxnState::kAborted) {
     return Status::FailedPrecondition(common::Format(
         "T%u is %s; cannot set the cost of a terminated transaction", tid,
-        std::string(ToString(state)).c_str()));
+        std::string(ToString(*state)).c_str()));
   }
-  rec.cost_pinned = true;
-  costs_.Set(tid, cost);
+  rec->cost_pinned.store(true, std::memory_order_relaxed);
+  rec->cost.store(cost, std::memory_order_relaxed);
   return Status::OK();
 }
 
 Status ConcurrentLockService::CancelWait(lock::TransactionId tid,
                                          Shard& shard, bool* escalate) {
   *escalate = false;
-  std::scoped_lock tl(txn_mu_);
-  auto it = txns_.find(tid);
-  TWBG_CHECK(it != txns_.end());
-  TxnRecord& rec = it->second;
+  std::unique_lock<std::mutex> tl = LockTxnTable();
+  TxnRecord* found = Find(tid);
+  TWBG_CHECK(found != nullptr);  // we are parked on it
+  TxnRecord& rec = *found;
   const TxnState state = rec.state.load(std::memory_order_relaxed);
   // The shard mutex has been held since the deadline check, and both
   // resolvers (terminating releasers and the stop-the-world pass) change
@@ -598,31 +785,24 @@ Status ConcurrentLockService::Abort(lock::TransactionId tid) {
 
 Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
   // Lock ordering requires the shard mutexes before txn_mu_, so peek at
-  // the mask first.  Only this transaction's own thread grows it, and
-  // the protocol forbids concurrent operations on one transaction, so
-  // the mask is stable; the state is re-validated under the full locks
-  // (a detection pass may abort the transaction in between).
-  uint64_t mask = 0;
-  {
-    std::scoped_lock tl(txn_mu_);
-    auto it = txns_.find(tid);
-    if (it == txns_.end()) {
-      return Status::NotFound(common::Format("unknown transaction T%u", tid));
-    }
-    mask = it->second.shard_mask;
-  }
+  // the mask first, lock-free (no record: nothing to lock).  Only this
+  // transaction's own thread grows it, and the protocol forbids concurrent
+  // operations on one transaction, so the mask is stable; the state is
+  // re-validated under the full locks (a detection pass may abort the
+  // transaction in between).
+  const TxnRecord* peek = Find(tid);
+  const uint64_t mask =
+      peek == nullptr ? 0 : peek->shard_mask.load(std::memory_order_relaxed);
 
   common::Stopwatch hold;
   std::vector<std::unique_lock<std::mutex>> shard_locks =
       LockShards(mask, hold);
   {
-    std::scoped_lock tl(txn_mu_);
-    auto it = txns_.find(tid);
-    if (it == txns_.end()) {
-      return Status::NotFound(common::Format("unknown transaction T%u", tid));
-    }
-    TxnRecord& rec = it->second;
-    const TxnState state = rec.state.load(std::memory_order_relaxed);
+    std::unique_lock<std::mutex> tl = LockTxnTable();
+    TxnRecord* rec = nullptr;
+    Result<TxnState> known = StateLocked(tid, &rec);
+    if (!known.ok()) return known.status();
+    const TxnState state = *known;
     if (commit && state != TxnState::kActive) {
       return Status::FailedPrecondition(
           common::Format("T%u is %s and cannot commit", tid,
@@ -636,9 +816,7 @@ Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
     }
     std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
     if (observed()) ol.lock();
-    SetStateLocked(tid, rec,
-                   commit ? TxnState::kCommitted : TxnState::kAborted);
-    --live_txns_;
+    FinishLocked(*rec, commit ? TxnState::kCommitted : TxnState::kAborted);
     if (obs::Enabled(bus_)) {
       obs::Event event;
       event.kind =
@@ -648,7 +826,6 @@ Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
       bus_->Emit(event);
     }
     if (obs::Tracing(tracer_)) tracer_->CloseTxn(tid, /*aborted=*/!commit);
-    costs_.Erase(tid);
     ReactivateLocked(ReleaseAllShardsLocked(tid, mask));
   }
   // A planned drop-wakeup fault swallows this termination's broadcast (not
@@ -746,12 +923,19 @@ core::ResolutionReport ConcurrentLockService::RunStopTheWorldPass() {
       LockShards(~uint64_t{0}, hold);
   core::ResolutionReport report;
   {
-    std::scoped_lock tl(txn_mu_);
+    std::unique_lock<std::mutex> tl = LockTxnTable();
     std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
     if (observed()) ol.lock();
     const uint64_t pass_span =
         obs::Tracing(tracer_) ? tracer_->Open(obs::SpanKind::kPass) : 0;
-    report = detector_->RunPass(*pass_host_, costs_);
+    core::CostTable costs = CostSnapshotLocked();
+    report = detector_->RunPass(*pass_host_, costs);
+    // Keep the TDR-2 bumps, which land on blocked ST members (victims are
+    // erased from the snapshot; they terminate just below).
+    for (const auto& [tid, cost] : costs.entries()) {
+      TxnRecord* rec = Find(tid);
+      if (rec != nullptr && rec->cost.load() != cost) rec->cost.store(cost);
+    }
     ApplyReportLocked(report);
     if (obs::Enabled(bus_)) PublishShardStatsLocked();
     if (pass_span != 0) {
@@ -836,11 +1020,11 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
   common::Stopwatch seal_clock;  // measures the seal-to-apply lag
 
   // The walk decides victims on a cost snapshot; the validated apply
-  // replays the TDR-2 ST bumps onto the live table.
+  // replays the TDR-2 ST bumps onto the live records.
   core::CostTable costs_copy;
   {
-    std::scoped_lock tl(txn_mu_);
-    costs_copy = costs_;
+    std::unique_lock<std::mutex> tl = LockTxnTable();
+    costs_copy = CostSnapshotLocked();
   }
 
   // Phase 2 — detect, lock-free over the sealed mirrors while client
@@ -920,7 +1104,7 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
       LockShards(~uint64_t{0}, hold);
   const uint64_t lag_ns = static_cast<uint64_t>(seal_clock.ElapsedNanos());
   {
-    std::scoped_lock tl(txn_mu_);
+    std::unique_lock<std::mutex> tl = LockTxnTable();
     std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
     if (observed()) ol.lock();
     const bool live_obs = observing && obs::Enabled(bus_);
@@ -1005,8 +1189,13 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
         overlay[victim.resource] = {decision.applied_version,
                                     state->version()};
         for (lock::TransactionId st : victim.st) {
-          costs_.Bump(st, options_.detector.st_cost_multiplier,
-                      options_.detector.st_cost_increment);
+          // ST members queue on a resource whose stamp held, so they live.
+          TxnRecord* rec = Find(st);
+          TWBG_CHECK(rec != nullptr);
+          rec->cost.store(rec->cost.load(std::memory_order_relaxed) *
+                                  options_.detector.st_cost_multiplier +
+                              options_.detector.st_cost_increment,
+                          std::memory_order_relaxed);
         }
       }
       if (live_obs) {
@@ -1054,13 +1243,13 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
       case core::AbortOrder::kCostDescending:
         std::stable_sort(order.begin(), order.end(),
                          [&](lock::TransactionId a, lock::TransactionId b) {
-                           return costs_.Get(a) > costs_.Get(b);
+                           return CostLocked(a) > CostLocked(b);
                          });
         break;
       case core::AbortOrder::kCostAscending:
         std::stable_sort(order.begin(), order.end(),
                          [&](lock::TransactionId a, lock::TransactionId b) {
-                           return costs_.Get(a) < costs_.Get(b);
+                           return CostLocked(a) < CostLocked(b);
                          });
         break;
     }
@@ -1070,13 +1259,10 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
         report.spared.push_back(tid);
         continue;
       }
-      const auto it = txns_.find(tid);
-      const uint64_t mask =
-          it == txns_.end() ? ~uint64_t{0} : it->second.shard_mask;
-      const std::vector<lock::TransactionId> granted =
-          ReleaseAllShardsLocked(tid, mask);
+      const TxnRecord* rec = Find(tid);
+      const std::vector<lock::TransactionId> granted = ReleaseAllShardsLocked(
+          tid, rec == nullptr ? ~uint64_t{0} : rec->shard_mask.load());
       report.aborted.push_back(tid);
-      costs_.Erase(tid);
       for (lock::TransactionId g : granted) {
         granted_set.insert(g);
         report.granted.push_back(g);
@@ -1149,7 +1335,7 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
       LockShards(~uint64_t{0}, hold);
   core::ResolutionReport report;
   {
-    std::scoped_lock tl(txn_mu_);
+    std::unique_lock<std::mutex> tl = LockTxnTable();
     std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
     if (observed()) ol.lock();
     // Timeout resolution (the fallback the paper's algorithm replaces):
@@ -1158,22 +1344,21 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
     // merely waiting, not deadlocked — but O(transactions) cheap, which
     // is the point while degraded.
     const uint32_t patience = options_.robustness.degradation.sweep_patience;
-    std::vector<lock::TransactionId> victims;
-    for (auto& [tid, rec] : txns_) {
-      if (rec.state.load(std::memory_order_relaxed) != TxnState::kBlocked) {
-        rec.blocked_sweeps = 0;
+    std::vector<TxnRecord*> victims;
+    for (TxnRecord* rec : LiveRecordsLocked()) {
+      if (rec->state.load(std::memory_order_relaxed) != TxnState::kBlocked) {
+        rec->blocked_sweeps = 0;
         continue;
       }
-      if (++rec.blocked_sweeps >= patience) victims.push_back(tid);
+      if (++rec->blocked_sweeps >= patience) victims.push_back(rec);
     }
-    for (lock::TransactionId victim : victims) {
-      TxnRecord& rec = txns_.at(victim);
-      SetStateLocked(victim, rec, TxnState::kAborted);
-      // Deliberately NOT flagged deadlock_victim: a timeout abort is a
-      // guess, not a detected cycle; it lands in sweep_aborts() instead.
-      --live_txns_;
+    for (TxnRecord* rec : victims) {
+      const lock::TransactionId victim = rec->tid.load();
+      const uint64_t mask = rec->shard_mask.load();
+      // Not counted in deadlock_victims(): a timeout abort is a guess,
+      // not a detected cycle; it lands in sweep_aborts() instead.
+      FinishLocked(*rec, TxnState::kAborted);
       sweep_aborts_.fetch_add(1, std::memory_order_relaxed);
-      costs_.Erase(victim);
       if (obs::Enabled(bus_)) {
         obs::Event event;
         event.kind = obs::EventKind::kTxnAbort;
@@ -1183,7 +1368,7 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
       }
       if (obs::Tracing(tracer_)) tracer_->CloseTxn(victim, /*aborted=*/true);
       const std::vector<lock::TransactionId> granted =
-          ReleaseAllShardsLocked(victim, rec.shard_mask);
+          ReleaseAllShardsLocked(victim, mask);
       ReactivateLocked(granted);
       report.aborted.push_back(victim);
       report.granted.insert(report.granted.end(), granted.begin(),
@@ -1212,13 +1397,10 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
 void ConcurrentLockService::ApplyReportLocked(
     const core::ResolutionReport& report) {
   for (lock::TransactionId victim : report.aborted) {
-    auto it = txns_.find(victim);
-    if (it == txns_.end()) continue;
-    SetStateLocked(victim, it->second, TxnState::kAborted);
-    it->second.deadlock_victim = true;
-    --live_txns_;
+    TxnRecord* rec = Find(victim);
+    if (rec == nullptr) continue;
+    FinishLocked(*rec, TxnState::kAborted);
     ++deadlock_victims_;
-    costs_.Erase(victim);
     if (obs::Enabled(bus_)) {
       obs::Event event;
       event.kind = obs::EventKind::kTxnAbort;
@@ -1234,22 +1416,23 @@ void ConcurrentLockService::ApplyReportLocked(
 void ConcurrentLockService::ReactivateLocked(
     const std::vector<lock::TransactionId>& granted) {
   for (lock::TransactionId g : granted) {
-    auto it = txns_.find(g);
-    if (it == txns_.end()) continue;
-    TxnRecord& rec = it->second;
-    if (rec.state.load(std::memory_order_relaxed) != TxnState::kBlocked) {
+    TxnRecord* rec = Find(g);
+    if (rec == nullptr ||
+        rec->state.load(std::memory_order_relaxed) != TxnState::kBlocked) {
       continue;
     }
-    SetStateLocked(g, rec, TxnState::kActive);
-    rec.locks_granted++;
-    rec.blocked_sweeps = 0;
-    RefreshCostLocked(g, rec);
+    // The counters and cost first: the owner's next operation may follow
+    // the state change on another thread.
+    rec->locks_granted.fetch_add(1, std::memory_order_relaxed);
+    rec->blocked_sweeps = 0;
+    RefreshCost(*rec);
+    SetStateLocked(g, *rec, TxnState::kActive);
   }
 }
 
 void ConcurrentLockService::SetStateLocked(lock::TransactionId tid,
                                            TxnRecord& rec, TxnState to) {
-  const TxnState from = rec.state.exchange(to, std::memory_order_relaxed);
+  const TxnState from = rec.state.exchange(to, std::memory_order_acq_rel);
   if (from == TxnState::kBlocked && unblock_listener_) unblock_listener_(tid);
 }
 
@@ -1266,27 +1449,25 @@ void ConcurrentLockService::PublishShardStatsLocked() {
   }
 }
 
-void ConcurrentLockService::RefreshCostLocked(lock::TransactionId tid,
-                                              const TxnRecord& rec) {
-  if (rec.cost_pinned) return;  // SetCost owns this transaction's cost
-  const TxnState state = rec.state.load(std::memory_order_relaxed);
-  if (state == TxnState::kCommitted || state == TxnState::kAborted) return;
+void ConcurrentLockService::RefreshCost(TxnRecord& rec) const {
+  // SetCost owns a pinned cost.
+  if (rec.cost_pinned.load(std::memory_order_relaxed)) return;
   double cost = 1.0;
   switch (options_.cost_policy) {
     case CostPolicy::kUnit:
       cost = 1.0;
       break;
     case CostPolicy::kLocksHeld:
-      cost = 1.0 + static_cast<double>(rec.locks_granted);
+      cost = 1.0 + static_cast<double>(rec.locks_granted.load());
       break;
     case CostPolicy::kAge:
-      cost = 1.0 + static_cast<double>(next_ts_ - rec.begin_ts);
+      cost = 1.0 + static_cast<double>(next_ts_.load() - rec.begin_ts);
       break;
     case CostPolicy::kOpsDone:
-      cost = 1.0 + static_cast<double>(rec.ops_executed);
+      cost = 1.0 + static_cast<double>(rec.ops_executed.load());
       break;
   }
-  costs_.Set(tid, cost);
+  rec.cost.store(cost, std::memory_order_relaxed);
 }
 
 void ConcurrentLockService::DetectorLoop() {
@@ -1328,9 +1509,9 @@ void ConcurrentLockService::UpdateSchedulerAfterPass(
   // taken under it).
   uint64_t blocked = 0;
   {
-    std::scoped_lock tl(txn_mu_);
-    for (const auto& [tid, rec] : txns_) {
-      if (rec.state.load(std::memory_order_relaxed) == TxnState::kBlocked) {
+    std::unique_lock<std::mutex> tl = LockTxnTable();
+    for (const TxnRecord* rec : LiveRecordsLocked()) {
+      if (rec->state.load(std::memory_order_relaxed) == TxnState::kBlocked) {
         ++blocked;
       }
     }
@@ -1395,17 +1576,18 @@ void ConcurrentLockService::UpdateSchedulerAfterPass(
 }
 
 Result<TxnState> ConcurrentLockService::State(lock::TransactionId tid) const {
-  std::scoped_lock tl(txn_mu_);
-  auto it = txns_.find(tid);
-  if (it == txns_.end()) {
-    return Status::NotFound(common::Format("unknown transaction T%u", tid));
-  }
-  return it->second.state.load(std::memory_order_relaxed);
+  std::unique_lock<std::mutex> tl = LockTxnTable();
+  TxnRecord* rec = nullptr;
+  return StateLocked(tid, &rec);
 }
 
 size_t ConcurrentLockService::live_transactions() const {
-  std::scoped_lock tl(txn_mu_);
-  return live_txns_;
+  return live_txns_.load(std::memory_order_relaxed);
+}
+
+size_t ConcurrentLockService::txn_records() const {
+  std::unique_lock<std::mutex> tl = LockTxnTable();
+  return slab_.size() * kSlabChunk - free_records_.size();
 }
 
 Result<bool> ConcurrentLockService::HasDeadlock() {
@@ -1425,27 +1607,43 @@ Result<std::string> ConcurrentLockService::RenderView(core::View view) {
   common::Stopwatch hold;
   std::vector<std::unique_lock<std::mutex>> shard_locks =
       LockShards(~uint64_t{0}, hold);
-  std::scoped_lock tl(txn_mu_);  // costs_
-  if (shards_.size() == 1) {
-    return core::RenderView(view, shards_[0]->lm, costs_);
+  std::unique_lock<std::mutex> tl = LockTxnTable();
+  if (view == core::View::kCosts) {
+    // core::RenderView's kCosts lines over the union of the shards' known
+    // transactions: one line per transaction, however many shards it
+    // touched.
+    std::vector<lock::TransactionId> tids;
+    for (const auto& shard : shards_) {
+      const std::vector<lock::TransactionId> known =
+          shard->lm.KnownTransactions();
+      tids.insert(tids.end(), known.begin(), known.end());
+    }
+    std::sort(tids.begin(), tids.end());
+    tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
+    std::string out;
+    for (lock::TransactionId tid : tids) {
+      out += common::Format("T%u: %.2f\n", tid, CostLocked(tid));
+    }
+    return out;
   }
-  if (view != core::View::kTable && view != core::View::kCosts) {
+  if (shards_.size() == 1) {
+    return core::RenderView(view, shards_[0]->lm, core::CostTable());
+  }
+  if (view != core::View::kTable) {
     return Status::FailedPrecondition(
         "graph views require num_shards == 1 (merged multi-shard graph "
         "construction is not implemented)");
   }
   std::string out;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (view == core::View::kTable) {
-      out += common::Format("-- shard %zu --\n", s);
-    }
-    out += core::RenderView(view, shards_[s]->lm, costs_);
+    out += common::Format("-- shard %zu --\n", s);
+    out += core::RenderView(view, shards_[s]->lm, core::CostTable());
   }
   return out;
 }
 
 size_t ConcurrentLockService::deadlock_victims() const {
-  std::scoped_lock tl(txn_mu_);
+  std::unique_lock<std::mutex> tl = LockTxnTable();
   return deadlock_victims_;
 }
 
@@ -1485,26 +1683,32 @@ Status ConcurrentLockService::CheckInvariants(bool deep) {
   common::Stopwatch hold;
   std::vector<std::unique_lock<std::mutex>> shard_locks =
       LockShards(~uint64_t{0}, hold);
-  std::scoped_lock tl(txn_mu_);
+  std::unique_lock<std::mutex> tl = LockTxnTable();
   for (size_t s = 0; s < shards_.size(); ++s) {
     Status status = shards_[s]->lm.CheckInvariants(deep);
     if (!status.ok()) {
       return Status::Internal(common::Format(
           "shard %zu: %s", s, std::string(status.message()).c_str()));
     }
-  }
-  for (const auto& [tid, rec] : txns_) {
-    const TxnState state = rec.state.load(std::memory_order_relaxed);
-    size_t blocked_in = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const lock::TxnLockInfo* info = shards_[s]->lm.Info(tid);
-      if (info == nullptr) continue;
-      if (state == TxnState::kCommitted || state == TxnState::kAborted) {
+    // Every transaction a shard knows must still be live.
+    for (lock::TransactionId tid : shards_[s]->lm.KnownTransactions()) {
+      TxnRecord* rec = nullptr;
+      Result<TxnState> state = StateLocked(tid, &rec);
+      if (!state.ok() || *state == TxnState::kCommitted ||
+          *state == TxnState::kAborted) {
         return Status::Internal(common::Format(
             "terminated T%u is still known to shard %zu (leaked locks)", tid,
             s));
       }
-      if (info->blocked_on.has_value()) ++blocked_in;
+    }
+  }
+  for (const TxnRecord* rec : LiveRecordsLocked()) {
+    const lock::TransactionId tid = rec->tid.load(std::memory_order_relaxed);
+    const TxnState state = rec->state.load(std::memory_order_relaxed);
+    size_t blocked_in = 0;
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      const lock::TxnLockInfo* info = shards_[s]->lm.Info(tid);
+      if (info != nullptr && info->blocked_on.has_value()) ++blocked_in;
     }
     if (state == TxnState::kBlocked && blocked_in != 1) {
       return Status::Internal(common::Format(
@@ -1520,10 +1724,9 @@ Status ConcurrentLockService::CheckInvariants(bool deep) {
   // live transaction the service also believes is blocked.
   for (size_t s = 0; s < shards_.size(); ++s) {
     for (lock::TransactionId tid : shards_[s]->lm.BlockedTransactions()) {
-      auto it = txns_.find(tid);
-      if (it == txns_.end() ||
-          it->second.state.load(std::memory_order_relaxed) !=
-              TxnState::kBlocked) {
+      const TxnRecord* rec = Find(tid);
+      if (rec == nullptr ||
+          rec->state.load(std::memory_order_relaxed) != TxnState::kBlocked) {
         return Status::Internal(common::Format(
             "shard %zu holds a blocked entry for T%u, which the service "
             "does not consider blocked (leaked waiter)",
@@ -1539,7 +1742,7 @@ std::string ConcurrentLockService::DebugDump() {
   common::Stopwatch hold;
   std::vector<std::unique_lock<std::mutex>> shard_locks =
       LockShards(~uint64_t{0}, hold);
-  std::scoped_lock tl(txn_mu_);
+  std::unique_lock<std::mutex> tl = LockTxnTable();
   for (size_t s = 0; s < shards_.size(); ++s) {
     out += common::Format("shard %zu:\n", s);
     out += shards_[s]->lm.table().ToString();
@@ -1549,12 +1752,11 @@ std::string ConcurrentLockService::DebugDump() {
       out += common::Format("  T%u waits on R%u\n", tid, *info->blocked_on);
     }
   }
-  for (const auto& [tid, rec] : txns_) {
+  for (const TxnRecord* rec : LiveRecordsLocked()) {
     out += common::Format(
-        "T%u state=%d victim=%d granted=%llu\n", tid,
-        static_cast<int>(rec.state.load(std::memory_order_relaxed)),
-        rec.deadlock_victim ? 1 : 0,
-        static_cast<unsigned long long>(rec.locks_granted));
+        "T%u state=%d granted=%llu\n", rec->tid.load(),
+        static_cast<int>(rec->state.load(std::memory_order_relaxed)),
+        static_cast<unsigned long long>(rec->locks_granted.load()));
   }
   return out;
 }

@@ -71,13 +71,26 @@
 // the shard cv broadcast follows; Await and AcquireBlocking park on it.
 //
 // Lock ordering (deadlock-free by construction): shard mutexes in
-// ascending shard index, then the transaction-table mutex, then the
-// observability mutex.  Every bus emission happens under the
+// ascending shard index, then the transaction-table mutex (txn_mu_), then
+// the observability mutex.  Every bus emission happens under the
 // observability mutex, so attaching a bus serializes the service's
 // emission points — sinks see one totally ordered stream that is a true
 // linearization of the lock-state history (the replay-parity stress suite
 // depends on this).  Sink callbacks must not call back into the service.
 //
+// Transaction table: a slab of fixed-address records, one per live
+// transaction (plus any terminated one a parked waiter can still reach),
+// recycled through a free list; a finished tid is answered from a 1-bit
+// outcome map (committed / aborted).  txn_mu_ guards only Begin's slot
+// allocation and admission, slot reclamation, the outcome map, the
+// unblock-listener slot and the pass's apply — an immediately granted
+// acquire takes no txn_mu_ (it looks the record up in a direct-mapped,
+// reader-safe index; each record stores its tid), and a single-shard commit
+// takes it once.  The record fields the acquire path writes (shard_mask,
+// ops_executed, locks_granted, wait_shard, cost) are single-writer
+// atomics: only the transaction's own operation writes them, except
+// while it is kBlocked, when the releaser or the pass that grants or
+// aborts it does — holding the shard mutex it waits in.
 // Wait-span caveat: wait-span ids are per-shard domains (each shard's
 // LockManager numbers its own spans), so span values are not comparable
 // with a single-manager run; kinds/tids/rids/counters are.
@@ -89,7 +102,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -278,13 +290,25 @@ class ConcurrentLockService {
   /// Renders `view` of the current state with core::RenderView, the
   /// text the raw script back end prints.  Graph-derived views require
   /// num_shards == 1; kTable / kCosts work for any configuration (a
-  /// multi-shard table is concatenated with `-- shard N --` headers).
+  /// multi-shard table is concatenated with `-- shard N --` headers; kCosts
+  /// lists each transaction the lock tables know once, in ascending tid
+  /// order, whatever the shard count).
   /// Stops the world for the duration — a diagnostics surface, never a
   /// hot path.
   Result<std::string> RenderView(core::View view);
 
   /// Live (kActive or kBlocked) transactions right now.
   size_t live_transactions() const;
+
+  /// Transaction records currently allocated: the live transactions plus
+  /// the terminated ones whose record a parked waiter still holds.  A
+  /// finished transaction costs one bit once its record is recycled.
+  size_t txn_records() const;
+
+  /// Transaction-table mutex acquisitions made so far by the calling
+  /// thread, across every service (a structural cost counter: an
+  /// immediately granted acquire adds 0, a single-shard commit 1).
+  static uint64_t txn_mu_acquisitions_this_thread();
 
   /// Commits and releases; wakes any waiter this unblocks.
   Status Commit(lock::TransactionId tid);
@@ -394,7 +418,7 @@ class ConcurrentLockService {
   Status CheckInvariants(bool deep = true);
 
   /// Stop-the-world forensic dump: every shard's lock table plus every
-  /// live transaction's state and wait target.  For diagnosing stalled
+  /// live transaction's state and wait target, in ascending tid order.  For diagnosing stalled
   /// workloads (e.g. a stuck benchmark cell); never on a hot path.
   std::string DebugDump();
 
@@ -413,28 +437,53 @@ class ConcurrentLockService {
     uint64_t hold_ns = 0;
   };
 
-  // Per-transaction record (guarded by txn_mu_;
-  // `state` is additionally atomic because waiter wake predicates read it
-  // under the shard mutex only).
-  struct TxnRecord {
+  // Per-transaction slab record (see "Transaction table" in the file
+  // comment).  Fixed address for the service's lifetime: a free record is
+  // reused, never deallocated.  Padded to a cache line so records of
+  // transactions on different threads do not share one.
+  struct alignas(64) TxnRecord {
+    // The transaction in this slot, 0 while free.  Set and cleared under
+    // txn_mu_; lock-free lookups compare it against the tid they look up.
+    std::atomic<lock::TransactionId> tid{0};
+    // Waiter wake predicates read it under the shard mutex only.
     std::atomic<TxnState> state{TxnState::kActive};
-    uint64_t begin_ts = 0;
-    uint64_t locks_granted = 0;
-    uint64_t ops_executed = 0;
-    bool deadlock_victim = false;
-    // SetCost pinned this transaction's cost: RefreshCostLocked must not
-    // overwrite it.
-    bool cost_pinned = false;
-    // Robustness bookkeeping: waits of this transaction cancelled by
-    // deadline (abort-after-N policy), and consecutive degraded sweeps
-    // that observed it blocked (timeout resolution).
+    // SetCost pinned the cost: RefreshCost must not overwrite it.
+    std::atomic<bool> cost_pinned{false};
+    // Single-writer fields (file comment), with cost, locks_granted and
+    // ops_executed below.  wait_shard is the shard of the latest wait;
+    // bit s of shard_mask set => an operation was routed to shard s — it
+    // never shrinks, and commits/aborts lock exactly these shards
+    // (num_shards is capped at 64).
+    std::atomic<uint8_t> wait_shard{0};
+    std::atomic<uint64_t> shard_mask{0};
+    std::atomic<uint64_t> locks_granted{0};
+    std::atomic<uint64_t> ops_executed{0};
+    std::atomic<double> cost{1.0};
+    uint64_t begin_ts = 0;  // written once, before the tid is published
+    // Parked waiters (AcquireBlocking / Await inside WaitUnblocked) times
+    // two, plus 1 once the transaction terminated: the record is
+    // recycled when the word drops to exactly 1.
+    mutable std::atomic<uint32_t> parked{0};
+    // txn_mu_: waits cancelled by deadline (abort-after-N policy), and
+    // consecutive degraded sweeps that observed it blocked.
     uint32_t deadline_expiries = 0;
     uint32_t blocked_sweeps = 0;
-    // Bit s set => an operation of this transaction was routed to shard
-    // s.  Never shrinks; commits/aborts lock exactly these shards (which
-    // is why num_shards is capped at 64).
-    uint64_t shard_mask = 0;
-    size_t wait_shard = 0;  // the shard of its latest wait
+  };
+  static_assert(sizeof(TxnRecord) == 64, "one cache line per record");
+
+  // tid -> record index, linear probing from slot tid & mask: a record
+  // sits at most max_probe slots past its home, so a lookup reads at most
+  // max_probe + 1 slots and needs no tombstones.  Entries change only
+  // under txn_mu_.  The index doubles once it has fewer than
+  // kIndexSlotsPerRecord slots per allocated record; replaced indexes stay
+  // allocated until destruction, so a lock-free reader may keep using the
+  // one it loaded (every record it can look up was indexed there).
+  struct TxnIndex {
+    explicit TxnIndex(size_t size)
+        : mask(size - 1), slots(new std::atomic<TxnRecord*>[size]()) {}
+    size_t mask;
+    std::atomic<size_t> max_probe{0};
+    std::unique_ptr<std::atomic<TxnRecord*>[]> slots;
   };
 
   class PassHost;  // core::ShardedDetectionHost over the shard set
@@ -462,6 +511,36 @@ class ConcurrentLockService {
                                              size_t shard_index,
                                              TxnRecord** rec);
 
+  // Locks txn_mu_, counting the acquisition for the calling thread.
+  std::unique_lock<std::mutex> LockTxnTable() const;
+
+  // tid's record, lock-free; nullptr for a recycled or unknown tid.
+  TxnRecord* Find(lock::TransactionId tid) const;
+  // tid's state from its record (then `*rec` is set) or, for a finished
+  // tid, from the outcome map; NotFound for a tid never begun (txn_mu_
+  // held).
+  Result<TxnState> StateLocked(lock::TransactionId tid, TxnRecord** rec) const;
+  // Allocates and publishes a record for a new tid (txn_mu_ held).
+  TxnRecord& AllocateLocked(lock::TransactionId tid);
+  // Puts `rec` into the index, doubling it when due (txn_mu_ held).
+  void IndexLocked(TxnRecord& rec);
+  // Every allocated record of a non-terminated transaction, ascending tid
+  // (txn_mu_ held).
+  std::vector<TxnRecord*> LiveRecordsLocked() const;
+  // Abort costs of the live transactions, for a pass (txn_mu_ held).
+  core::CostTable CostSnapshotLocked() const;
+  // The recorded cost of tid, 1.0 when it has no record (txn_mu_ held).
+  double CostLocked(lock::TransactionId tid) const;
+  // Terminates `rec` (state, live count, outcome bit) and recycles it
+  // unless a waiter is parked on it (txn_mu_ held; `rec` must not be
+  // used afterwards).
+  void FinishLocked(TxnRecord& rec, TxnState to);
+  // Recycles a terminated record (txn_mu_ held).
+  void ReclaimLocked(TxnRecord& rec);
+  // Drops one parked-waiter registration of `rec`, recycling the record
+  // if it was the last one on a terminated transaction.
+  void Unpark(const TxnRecord& rec);
+
   // Commit/Abort body: locks the transaction's shards and releases.
   Status Terminate(lock::TransactionId tid, bool commit);
   // The kStopTheWorld pass body: all shard locks for the whole pass.
@@ -475,7 +554,8 @@ class ConcurrentLockService {
 
   // The park of AcquireBlocking and Await (`sl` holds shard.mu): waits
   // until `rec` leaves kBlocked and returns AwaitStatus, or withdraws the
-  // wait once a nonzero `deadline_us` expires (CancelWait).
+  // wait once a nonzero `deadline_us` expires (CancelWait).  The caller
+  // registered as a parked waiter on `rec`; this drops the registration.
   Status WaitUnblocked(lock::TransactionId tid, Shard& shard,
                        std::unique_lock<std::mutex>& sl, const TxnRecord& rec,
                        uint64_t deadline_us);
@@ -521,8 +601,9 @@ class ConcurrentLockService {
   // passes to the timeout-resolver sweep.  No service lock held.
   void DegradeIfOverBudget(uint64_t pause_ns);
 
-  // Recomputes `tid`'s abort cost per the policy (txn_mu_ held).
-  void RefreshCostLocked(lock::TransactionId tid, const TxnRecord& rec);
+  // Recomputes the record's abort cost per the policy (its single
+  // writer: see the file comment).
+  void RefreshCost(TxnRecord& rec) const;
 
   // Emits `event` under obs_mu_, the innermost lock: callers may hold
   // shard or transaction-table locks, never obs_mu_ itself.
@@ -561,15 +642,17 @@ class ConcurrentLockService {
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Transaction table; guards txns_, costs_, next_tid_, next_ts_,
-  // live_txns_, deadlock_victims_ and unblock_listener_.  Acquired after
-  // any shard mutexes, before obs_mu_.
+  // Transaction table (file comment).  txn_mu_ guards everything below
+  // but the atomics; acquired after any shard mutexes, before obs_mu_.
   mutable std::mutex txn_mu_;
-  std::map<lock::TransactionId, TxnRecord> txns_;
-  core::CostTable costs_;
+  std::vector<std::unique_ptr<TxnRecord[]>> slab_;
+  std::vector<TxnRecord*> free_records_;
+  std::atomic<TxnIndex*> index_{nullptr};
+  std::vector<std::unique_ptr<TxnIndex>> indexes_;  // current is back()
+  std::vector<uint64_t> aborted_bits_;  // finished tid -> 1 = aborted
   lock::TransactionId next_tid_ = 1;
-  uint64_t next_ts_ = 1;
-  size_t live_txns_ = 0;
+  std::atomic<uint64_t> next_ts_{1};
+  std::atomic<size_t> live_txns_{0};
   size_t deadlock_victims_ = 0;
   std::function<void(lock::TransactionId)> unblock_listener_;
 
@@ -626,6 +709,8 @@ class ConcurrentLockService {
   std::condition_variable stop_cv_;
   bool stopping_ = false;
   std::thread detector_thread_;
+
+  friend class ConcurrentLockServiceTestPeer;  // tests/txn_table_test.cc
 };
 
 /// The one TxnState -> Await result mapping: kOk for kActive,

@@ -6,9 +6,11 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <set>
 
 #include "common/flat_map.h"
 #include "common/string_util.h"
+#include "lock/lock_mode.h"
 #include "obs/event.h"
 #include "obs/span_sinks.h"
 #include "obs/trace_reader.h"
@@ -338,6 +340,158 @@ int CmdDiff(const std::vector<Event>& a, const std::vector<Event>& b,
   return 0;
 }
 
+// Replays a linearized lock history and checks safety (at every step the
+// holders of each resource are pairwise compatible under Table 1) and
+// liveness (every wait ends in a wakeup, an abort or a deadline cancel;
+// no transaction ends holding a lock).  The first event that breaks a
+// check is printed to `*err`; exit code 3.
+int CmdCheck(const std::vector<Event>& events, std::string* out,
+             std::string* err) {
+  struct Wait {
+    lock::ResourceId rid = 0;
+    lock::LockMode mode = lock::LockMode::kNL;  // granted on wakeup
+    size_t at = 0;                              // index of the block
+  };
+  std::map<lock::ResourceId, std::map<lock::TransactionId, lock::LockMode>>
+      holders;
+  std::map<lock::TransactionId, std::set<lock::ResourceId>> held;
+  std::map<lock::TransactionId, Wait> waits;
+  std::map<lock::TransactionId, size_t> ended;  // tid -> end event index
+  size_t grants = 0, blocks = 0;
+  std::string violation;
+  size_t violation_at = 0;
+  const auto fail = [&](size_t at, std::string what) {
+    if (violation.empty() || at < violation_at) {
+      violation = std::move(what);
+      violation_at = at;
+    }
+  };
+  const auto held_mode = [&](lock::TransactionId tid, lock::ResourceId rid) {
+    const auto& res = holders[rid];
+    const auto it = res.find(tid);
+    return it == res.end() ? lock::LockMode::kNL : it->second;
+  };
+  // A release emits the wakeups it causes before its kLockRelease summary,
+  // so a conflict found at a wakeup stands only if something other than
+  // more wakeups comes before the conflicting holder's release.
+  struct Conflict {
+    size_t at;
+    lock::TransactionId holder;
+    std::string what;
+  };
+  std::vector<Conflict> pending;
+  const auto hold = [&](size_t at, lock::TransactionId tid,
+                        lock::ResourceId rid, lock::LockMode mode,
+                        bool wakeup) {
+    ++grants;
+    if (ended.count(tid) != 0) {
+      fail(at, common::Format("T%u is granted R%u after it ended", tid, rid));
+    }
+    for (const auto& [other, other_mode] : holders[rid]) {
+      if (other == tid || lock::Compatible(mode, other_mode)) continue;
+      std::string what = common::Format(
+          "R%u: T%u holds %s while T%u holds %s (Table 1)", rid, tid,
+          std::string(obs::LockModeName(mode)).c_str(), other,
+          std::string(obs::LockModeName(other_mode)).c_str());
+      if (wakeup) {
+        pending.push_back(Conflict{at, other, std::move(what)});
+      } else {
+        fail(at, std::move(what));
+      }
+    }
+    holders[rid][tid] = mode;
+    held[tid].insert(rid);
+  };
+  for (size_t i = 0; i < events.size() && violation.empty(); ++i) {
+    const Event& e = events[i];
+    if (e.kind != EventKind::kLockWakeup) {
+      std::erase_if(pending, [&](const Conflict& c) {
+        return e.kind == EventKind::kLockRelease && c.holder == e.tid;
+      });
+      if (!pending.empty()) fail(pending[0].at, pending[0].what);
+    }
+    switch (e.kind) {
+      case EventKind::kLockGrant:
+        if (e.a == 0) {
+          hold(i, e.tid, e.rid, lock::Convert(held_mode(e.tid, e.rid), e.mode),
+               false);
+        }
+        break;
+      case EventKind::kLockConvert:
+      case EventKind::kLockBlock: {
+        const lock::LockMode mode =
+            lock::Convert(held_mode(e.tid, e.rid), e.mode);
+        if (e.kind == EventKind::kLockConvert && e.a == 1) {
+          hold(i, e.tid, e.rid, mode, false);
+          break;
+        }
+        ++blocks;
+        if (waits.count(e.tid) != 0) {
+          fail(i, common::Format("T%u blocks on R%u while already waiting",
+                                 e.tid, e.rid));
+        }
+        waits[e.tid] = Wait{e.rid, mode, i};
+        break;
+      }
+      case EventKind::kLockWakeup: {
+        const auto it = waits.find(e.tid);
+        if (it == waits.end() || it->second.rid != e.rid) {
+          fail(i, common::Format("T%u wakes on R%u without waiting there",
+                                 e.tid, e.rid));
+          break;
+        }
+        const Wait wait = it->second;
+        waits.erase(it);
+        hold(i, e.tid, wait.rid, wait.mode, true);
+        break;
+      }
+      case EventKind::kDeadlineExpired:
+        waits.erase(e.tid);  // a cancelled converter keeps its old mode
+        break;
+      case EventKind::kLockRelease:
+        waits.erase(e.tid);
+        for (lock::ResourceId rid : held[e.tid]) holders[rid].erase(e.tid);
+        held.erase(e.tid);
+        break;
+      case EventKind::kTxnCommit:
+      case EventKind::kTxnAbort:
+        if (e.kind == EventKind::kTxnCommit && waits.count(e.tid) != 0) {
+          fail(i, common::Format("T%u commits while waiting", e.tid));
+        }
+        waits.erase(e.tid);  // an abort ends the wait
+        ended[e.tid] = i;
+        break;
+      default:
+        break;
+    }
+  }
+  if (violation.empty()) {
+    if (!pending.empty()) fail(pending[0].at, pending[0].what);
+    for (const auto& [tid, wait] : waits) {
+      fail(wait.at, common::Format("T%u's wait on R%u never ended", tid,
+                                   wait.rid));
+    }
+    for (const auto& [tid, at] : ended) {
+      const auto it = held.find(tid);
+      if (it != held.end() && !it->second.empty()) {
+        fail(at, common::Format("T%u ended still holding R%u", tid,
+                                *it->second.begin()));
+      }
+    }
+  }
+  if (!violation.empty()) {
+    *err += common::Format("check FAILED at event %zu: %s\n  %s\n",
+                           violation_at + 1, violation.c_str(),
+                           obs::ToJson(events[violation_at]).c_str());
+    return 3;
+  }
+  *out += common::Format(
+      "check ok: %zu event(s), %zu grant(s), %zu wait(s) all ended, %zu "
+      "transaction(s) ended holding nothing\n",
+      events.size(), grants, blocks, ended.size());
+  return 0;
+}
+
 // Loads `path`, reporting failures to `*err` with exit code 2.
 int Load(const std::string& path, std::vector<Event>* events,
          std::string* err) {
@@ -383,6 +537,9 @@ constexpr char kUsage[] =
     "  hot <trace> [--top=K]  per-resource contention top-K\n"
     "  latency <trace>        wait/pass duration percentile tables\n"
     "  diff <a> <b>           compare two traces\n"
+    "  check <trace>          safety (Table 1) and liveness over a\n"
+    "                         linearized lock history; exit 3 on a\n"
+    "                         violation\n"
     "span commands (causal span JSONL, e.g. quickstart --spans-out):\n"
     "  export-perfetto <spans>    Chrome/Perfetto trace-event JSON\n"
     "  profile <spans> [--folded] blocked-time profile (table or\n"
@@ -427,7 +584,7 @@ int RunTraceTool(const std::vector<std::string>& args, std::string* out,
     return CmdProfile(spans, folded, out);
   }
   if (cmd != "summary" && cmd != "chains" && cmd != "hot" &&
-      cmd != "latency") {
+      cmd != "latency" && cmd != "check") {
     *err += common::Format("unknown command '%s'\n", cmd.c_str());
     *err += kUsage;
     return 1;
@@ -452,6 +609,7 @@ int RunTraceTool(const std::vector<std::string>& args, std::string* out,
   if (cmd == "summary") return CmdSummary(events, out);
   if (cmd == "chains") return CmdChains(events, out);
   if (cmd == "hot") return CmdHot(events, top_k, out);
+  if (cmd == "check") return CmdCheck(events, out, err);
   return CmdLatency(events, out);
 }
 

@@ -17,6 +17,14 @@
 //                             wait times and pass/step durations
 //   diff <a> <b>              side-by-side comparison of two traces
 //                             (event counts, wait latency, resolutions)
+//   check <trace>             replays a linearized lock history (e.g. a
+//                             service bus stream): safety — every
+//                             resource's holders pairwise compatible
+//                             under Table 1 at every step; liveness —
+//                             every kLockBlock ends in a wakeup, an abort
+//                             or a deadline cancel, and no transaction
+//                             ends holding a lock.  Prints the first
+//                             event that breaks a check.
 //
 // Span subcommands (causal span JSONL from obs::SpanJsonlSink, e.g. the
 // quickstart's --spans-out flag — a separate stream from the event
@@ -31,7 +39,8 @@
 //
 // Exit codes (pinned by tests/trace_tool_test.cc): 0 success, 1 bad usage
 // (unknown subcommand — named in the diagnostic — or bad arguments), 2 a
-// trace/span file that cannot be read or parsed.
+// trace/span file that cannot be read or parsed, 3 a history that fails
+// `check`.
 
 #ifndef TWBG_TOOLS_TWBG_TRACE_H_
 #define TWBG_TOOLS_TWBG_TRACE_H_
@@ -44,7 +53,7 @@ namespace twbg::tools {
 /// Runs the twbg-trace CLI on `args` (argv[1..] — subcommand first),
 /// appending normal output to `*out` and diagnostics to `*err`.  Returns
 /// the process exit code: 0 on success, 1 on bad usage, 2 on a trace that
-/// cannot be read or parsed.
+/// cannot be read or parsed, 3 on a history that fails `check`.
 int RunTraceTool(const std::vector<std::string>& args, std::string* out,
                  std::string* err);
 
