@@ -25,12 +25,21 @@
 // is attached (a bus serializes the service; see
 // txn/concurrent_service.h).
 //
+// The grid's fixed 48-transaction delta keeps each shard's journal delta
+// to a few dozen ids, so it cannot see what a publish costs per delta
+// id.  A separate *high-delta* cell has the shape of a conflict-free
+// client between two 2 ms passes: one thread runs kChurnTxnsPerRound
+// transactions of kChurnLocksPerTxn X locks on a 2^20-key space per
+// round, so each of the 4 shards sees about 2,000 resources created and
+// released per pass — ids the mirror never held.
+//
 // Results land in BENCH_pauseless.json: per cell, the per-shard publish
 // pause percentiles, the client-visible pause percentiles
 // (max(publish, apply)), the seal-to-apply detection lag, and the
-// stop-the-world pause percentiles of the twin run.  CI's perf-smoke job
-// gates on publish p99 at the largest table size and on p99 flatness
-// across table sizes.
+// stop-the-world pause percentiles of the twin run; then the high-delta
+// cell's publish and client pauses.  CI's perf-smoke job gates on
+// publish p99 at the largest table size, on p99 flatness across table
+// sizes, and on the high-delta cell's publish p99.
 //
 // Usage: bench_pauseless [rounds] [out.json]
 
@@ -54,6 +63,13 @@ namespace {
 // Transactions per round across all workers: keeps the per-round journal
 // delta (and hence the expected publish pause) identical in every cell.
 constexpr size_t kTxnsPerRound = 48;
+
+// High-delta cell: 2,000 transactions x 4 X locks over 4 shards ~ 2,000
+// created-then-released resources per shard per pass.
+constexpr size_t kChurnShards = 4;
+constexpr size_t kChurnTxnsPerRound = 2000;
+constexpr size_t kChurnLocksPerTxn = 4;
+constexpr uint64_t kChurnKeys = uint64_t{1} << 20;
 
 struct Series {
   uint64_t p50 = 0;
@@ -204,6 +220,42 @@ CellResult RunCell(size_t table_size, size_t shards, size_t threads,
   return cell;
 }
 
+struct ChurnResult {
+  size_t passes = 0;
+  Series publish;  // per-shard publish pauses
+  Series client;   // client-visible pauses
+};
+
+// The high-delta cell: one client, conflict-free X churn over a large key
+// space, a pass after every kChurnTxnsPerRound transactions.
+ChurnResult RunChurnCell(size_t rounds) {
+  txn::ConcurrentServiceOptions options;
+  options.num_shards = kChurnShards;
+  Result<std::unique_ptr<txn::ConcurrentLockService>> created =
+      txn::ConcurrentLockService::Create(options);
+  TWBG_CHECK(created.ok());
+  txn::ConcurrentLockService& service = **created;
+  common::Rng rng(29);
+  // Round 0 is the warm-up: its pass is skipped like the grid's.
+  for (size_t round = 0; round <= rounds; ++round) {
+    for (size_t i = 0; i < kChurnTxnsPerRound; ++i) {
+      const lock::TransactionId t = *service.Begin();
+      for (size_t k = 0; k < kChurnLocksPerTxn; ++k) {
+        const auto rid =
+            static_cast<lock::ResourceId>(rng.NextBelow(kChurnKeys));
+        TWBG_CHECK(service.AcquireAsync(t, rid, lock::LockMode::kX).ok());
+      }
+      TWBG_CHECK(service.Commit(t).ok());
+    }
+    (void)service.RunDetectionPass();
+  }
+  ChurnResult result;
+  result.passes = rounds;
+  result.publish = SteadyState(service.publish_pause_times_ns(), kChurnShards);
+  result.client = SteadyState(service.pause_times_ns(), 1);
+  return result;
+}
+
 void PrintSeries(const char* name, const Series& series) {
   std::printf("%s p50=%llu p99=%llu max=%llu (%zu samples)",
               name, static_cast<unsigned long long>(series.p50),
@@ -253,6 +305,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  const ChurnResult churn = RunChurnCell(rounds);
+  std::printf("  high-delta shards=%zu threads=1 (%zu txns x %zu locks per "
+              "pass)  publish ",
+              kChurnShards, kChurnTxnsPerRound, kChurnLocksPerTxn);
+  PrintSeries("", churn.publish);
+  std::printf("  client ");
+  PrintSeries("", churn.client);
+  std::printf("\n");
+
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
@@ -284,7 +345,17 @@ int main(int argc, char** argv) {
     WriteSeries(out, "stw_pause_ns", cell.stw);
     std::fprintf(out, "}");
   }
-  std::fprintf(out, "\n  ]\n}\n");
+  std::fprintf(out,
+               "\n  ],\n"
+               "  \"high_delta\": {\"shards\": %zu, \"threads\": 1, "
+               "\"txns_per_round\": %zu, \"locks_per_txn\": %zu, "
+               "\"keys\": %llu, \"passes\": %zu,\n    ",
+               kChurnShards, kChurnTxnsPerRound, kChurnLocksPerTxn,
+               static_cast<unsigned long long>(kChurnKeys), churn.passes);
+  WriteSeries(out, "publish_pause_ns", churn.publish);
+  std::fprintf(out, ",\n    ");
+  WriteSeries(out, "client_pause_ns", churn.client);
+  std::fprintf(out, "}\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

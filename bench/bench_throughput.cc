@@ -21,6 +21,13 @@
 //     in steady state (the table recycles ResourceStates and their
 //     holder/queue capacity), where the node-based containers paid one
 //     or more allocations on nearly every acquire/release;
+//     Concurrent cells also record `client_allocs_per_op`: allocations
+//     made inside the client threads' service calls (Begin, acquire,
+//     commit/abort) per acquire or commit/abort call.  It leaves out the
+//     driver's own bookkeeping and its detection passes: passes allocate
+//     per pass and come at a fixed rate, so their share of
+//     allocations/op grows as a cell's throughput falls, while the
+//     client figure is what the lock path itself allocates;
 //   * p99 acquire latency — sampled every kLatencySampleEvery ops to
 //     keep timer overhead out of the throughput number.
 //
@@ -34,8 +41,10 @@
 // concurrent cell also records `txn_mu_per_op`, the transaction-table
 // mutex acquisitions per Begin / acquire / commit.  CI's perf-smoke job
 // gates the uncontended sequential cell on ops/sec, every steady-state
-// cell on allocations/op, and every uncontended concurrent cell on 0
-// txn_mu_ acquisitions per acquire (see .github/workflows).
+// cell on allocations/op, every uncontended concurrent cell on 0
+// txn_mu_ acquisitions per acquire, and the 8-shard uncontended cell on
+// client allocations/op no higher than the 1-shard cell's (see
+// .github/workflows).
 //
 // Usage: bench_throughput [ops_per_cell] [out.json]
 
@@ -67,20 +76,28 @@
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
+thread_local uint64_t t_allocations = 0;  // this thread's share
 }  // namespace
 
 void* operator new(size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocations;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+// The deletes stay out of line: inlined, GCC pairs their free() with the
+// operator new call and misreports -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept {
+  std::free(p);
+}
 
 using namespace twbg;
 
@@ -112,6 +129,7 @@ struct CellResult {
   size_t aborted = 0;
   double ops_per_sec = 0;
   double allocs_per_op = 0;
+  double client_allocs_per_op = 0;  // concurrent cells: client threads only
   uint64_t acquire_p50_ns = 0;
   uint64_t acquire_p99_ns = 0;
   // Concurrent cells: transaction-table mutex acquisitions per Begin,
@@ -312,6 +330,8 @@ CellResult RunConcurrent(size_t txns, double theta, size_t resources,
   std::mutex mu_counts_mu;
   uint64_t mu_acquisitions[3] = {};
   uint64_t mu_calls[3] = {};
+  // Allocations made inside those calls over the measured window.
+  uint64_t client_allocs = 0;
 
   auto worker = [&](size_t worker_index) {
     RidSource rids(theta, resources,
@@ -319,17 +339,21 @@ CellResult RunConcurrent(size_t txns, double theta, size_t resources,
     std::vector<uint64_t>& lat = latencies[worker_index];
     size_t local_ops = 0;
     uint64_t local_mu[3] = {}, local_calls[3] = {};
-    // Runs `op` and charges its txn_mu_ acquisitions (the counter is the
-    // calling thread's) to `kind` while the window is open.
+    uint64_t local_allocs = 0;
+    // Runs `op` and charges its txn_mu_ acquisitions and allocations (both
+    // counters are the calling thread's) to `kind` while the window is
+    // open.
     const auto counted = [&](int kind, auto op) {
       const uint64_t before =
           txn::ConcurrentLockService::txn_mu_acquisitions_this_thread();
+      const uint64_t allocs_before = t_allocations;
       auto result = op();
       if (measuring.load(std::memory_order_relaxed)) {
         local_mu[kind] +=
             txn::ConcurrentLockService::txn_mu_acquisitions_this_thread() -
             before;
         ++local_calls[kind];
+        local_allocs += t_allocations - allocs_before;
       }
       return result;
     };
@@ -367,6 +391,7 @@ CellResult RunConcurrent(size_t txns, double theta, size_t resources,
     }
     {
       std::scoped_lock lk(mu_counts_mu);
+      client_allocs += local_allocs;
       for (int kind = 0; kind < 3; ++kind) {
         mu_acquisitions[kind] += local_mu[kind];
         mu_calls[kind] += local_calls[kind];
@@ -415,7 +440,16 @@ CellResult RunConcurrent(size_t txns, double theta, size_t resources,
     }
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   };
-  const uint64_t warmup_target = txns * kLocksPerTxn;
+  // Uncontended cells warm up until every shard's mutation journal has
+  // reached its steady-state buffer (it retains 65,536 entries and stops
+  // growing after about twice that many appends; an uncontended acquire
+  // and its release coalesce into one entry, so a shard sees a little
+  // under one append per op of its share), so the window sees no
+  // warm-up allocations however many shards split the traffic.
+  const uint64_t warmup_target =
+      theta < 0 ? std::max<uint64_t>(txns * kLocksPerTxn,
+                                     uint64_t{shards} << 18)
+                : txns * kLocksPerTxn;
   while (ops.load(std::memory_order_relaxed) < warmup_target) pump();
   const uint64_t ops_start = ops.load(std::memory_order_relaxed);
   const uint64_t allocs_start = g_allocations.load(std::memory_order_relaxed);
@@ -456,6 +490,11 @@ CellResult RunConcurrent(size_t txns, double theta, size_t resources,
   cell.txn_mu_per_begin = per_call(0);
   cell.txn_mu_per_acquire = per_call(1);
   cell.txn_mu_per_end = per_call(2);
+  const uint64_t client_ops = mu_calls[1] + mu_calls[2];
+  cell.client_allocs_per_op =
+      client_ops == 0 ? 0
+                      : static_cast<double>(client_allocs) /
+                            static_cast<double>(client_ops);
   return cell;
 }
 
@@ -536,10 +575,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(c.acquire_p99_ns),
         c.uncontended() ? "true" : "false",
         c.engine == "concurrent"
-            ? common::Format(", \"txn_mu_per_op\": {\"begin\": %.4f, "
+            ? common::Format(", \"client_allocs_per_op\": %.4f, "
+                             "\"txn_mu_per_op\": {\"begin\": %.4f, "
                              "\"acquire\": %.4f, \"commit\": %.4f}",
-                             c.txn_mu_per_begin, c.txn_mu_per_acquire,
-                             c.txn_mu_per_end)
+                             c.client_allocs_per_op, c.txn_mu_per_begin,
+                             c.txn_mu_per_acquire, c.txn_mu_per_end)
                   .c_str()
             : "",
         i + 1 < cells.size() ? "," : "");

@@ -3,6 +3,8 @@
 #include "txn/concurrent_service.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <map>
 #include <set>
 
@@ -60,7 +62,35 @@ obs::Event FaultEvent(const robustness::Fault& fault) {
   return event;
 }
 
+obs::Event PassEndEvent(const core::ResolutionReport& report, uint64_t lag_ns,
+                        const common::Stopwatch& pass_clock) {
+  obs::Event end;
+  end.kind = obs::EventKind::kPassEnd;
+  end.a = report.cycles_detected;
+  end.b = report.aborted.size();
+  end.span = lag_ns;  // seal-to-apply lag (zero in STW streams)
+  end.value = static_cast<double>(pass_clock.ElapsedNanos());
+  return end;
+}
+
 }  // namespace
+
+void RecentSamples::Push(uint64_t sample) {
+  if (samples_.size() < capacity_) {
+    samples_.push_back(sample);
+    return;
+  }
+  samples_[oldest_] = sample;
+  oldest_ = (oldest_ + 1) % capacity_;
+}
+
+std::vector<uint64_t> RecentSamples::Ordered() const {
+  std::vector<uint64_t> out(samples_.begin() + static_cast<ptrdiff_t>(oldest_),
+                            samples_.end());
+  out.insert(out.end(), samples_.begin(),
+             samples_.begin() + static_cast<ptrdiff_t>(oldest_));
+  return out;
+}
 
 Status ConcurrentServiceOptions::Validate() const {
   if (num_shards < 1 || num_shards > kMaxShards) {
@@ -240,27 +270,34 @@ std::unique_lock<std::mutex> ConcurrentLockService::LockShard(Shard& shard) {
   return sl;
 }
 
-std::vector<std::unique_lock<std::mutex>> ConcurrentLockService::LockShards(
+ConcurrentLockService::ShardLocks ConcurrentLockService::LockShards(
     uint64_t mask, common::Stopwatch& hold) {
   TWBG_DCHECK(t_in_sealed_detect == 0);
-  std::vector<std::unique_lock<std::mutex>> locks;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if ((mask & (uint64_t{1} << s)) == 0) continue;
-    locks.push_back(LockShard(*shards_[s]));
+  if (shards_.size() < kMaxShards) {
+    mask &= (uint64_t{1} << shards_.size()) - 1;
+  }
+  for (uint64_t m = mask; m != 0; m &= m - 1) {
+    LockShard(*shards_[std::countr_zero(m)]).release();  // ShardLocks owns it
   }
   hold.Reset();
-  return locks;
+  return ShardLocks(shards_, mask);
 }
 
-void ConcurrentLockService::UnlockAllShards(
-    std::vector<std::unique_lock<std::mutex>>& locks,
-    const common::Stopwatch& hold) {
+void ConcurrentLockService::ShardLocks::Unlock() {
+  for (uint64_t m = mask_; m != 0; m &= m - 1) {
+    (*shards_)[std::countr_zero(m)]->mu.unlock();
+  }
+  mask_ = 0;
+}
+
+void ConcurrentLockService::UnlockAllShards(ShardLocks& locks,
+                                            const common::Stopwatch& hold) {
   const uint64_t hold_ns = static_cast<uint64_t>(hold.ElapsedNanos());
   for (auto& shard : shards_) {
     shard->hold_ns += hold_ns;
     shard->cv.notify_all();
   }
-  locks.clear();
+  locks.Unlock();
 }
 
 void ConcurrentLockService::EmitStandalone(obs::Event event) {
@@ -795,8 +832,7 @@ Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
       peek == nullptr ? 0 : peek->shard_mask.load(std::memory_order_relaxed);
 
   common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(mask, hold);
+  ShardLocks shard_locks = LockShards(mask, hold);
   {
     std::unique_lock<std::mutex> tl = LockTxnTable();
     TxnRecord* rec = nullptr;
@@ -849,17 +885,21 @@ Status ConcurrentLockService::Terminate(lock::TransactionId tid, bool commit) {
     if ((mask & (uint64_t{1} << s)) == 0) continue;
     shards_[s]->hold_ns += hold_ns;
   }
-  shard_locks.clear();
+  shard_locks.Unlock();
   return Status::OK();
 }
 
-std::vector<lock::TransactionId> ConcurrentLockService::ReleaseAllShardsLocked(
-    lock::TransactionId tid, uint64_t mask) {
+const std::vector<lock::TransactionId>&
+ConcurrentLockService::ReleaseAllShardsLocked(lock::TransactionId tid,
+                                              uint64_t mask) {
   // Union of the transaction's touched resources across its shards,
   // released in global ascending-rid order — the exact order a single
   // lock manager's ReleaseAll would use, so the kLockWakeup stream (and
   // hence the recorded linearization) matches the sequential engine.
-  std::vector<lock::ResourceId> rids;
+  std::vector<lock::ResourceId>& rids = release_rids_;
+  std::vector<lock::TransactionId>& granted = release_granted_;
+  rids.clear();
+  granted.clear();
   bool known = false;
   bool was_blocked = false;
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -870,7 +910,7 @@ std::vector<lock::TransactionId> ConcurrentLockService::ReleaseAllShardsLocked(
     was_blocked |= info->blocked_on.has_value();
     rids.insert(rids.end(), info->touched.begin(), info->touched.end());
   }
-  if (!known) return {};  // mirror ReleaseAll: unknown tid emits nothing
+  if (!known) return granted;  // mirror ReleaseAll: unknown tid emits nothing
   // The per-rid ReleaseOn path closes only the *granted* waiters' spans
   // (NoteGranted); the released transaction's own pending wait ends here,
   // the way LockManager::ReleaseAll would end it.
@@ -879,7 +919,6 @@ std::vector<lock::TransactionId> ConcurrentLockService::ReleaseAllShardsLocked(
   }
   std::sort(rids.begin(), rids.end());
 
-  std::vector<lock::TransactionId> granted;
   for (lock::ResourceId rid : rids) {
     Shard& shard = *shards_[ShardIndex(rid)];
     const std::vector<lock::TransactionId> g = shard.lm.ReleaseOn(tid, rid);
@@ -919,8 +958,7 @@ core::ResolutionReport ConcurrentLockService::RunStopTheWorldPass() {
   // stream replayable against the sequential engine.
   common::Stopwatch pause;
   common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
+  ShardLocks shard_locks = LockShards(~uint64_t{0}, hold);
   core::ResolutionReport report;
   {
     std::unique_lock<std::mutex> tl = LockTxnTable();
@@ -949,7 +987,7 @@ core::ResolutionReport ConcurrentLockService::RunStopTheWorldPass() {
   UnlockAllShards(shard_locks, hold);
   {
     std::scoped_lock stl(stats_mu_);
-    pause_times_ns_.push_back(pause_ns);
+    pause_times_ns_.Push(pause_ns);
   }
   DegradeIfOverBudget(pause_ns);
   UpdateSchedulerAfterPass(pause_ns, report);
@@ -987,18 +1025,17 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
   uint64_t max_publish_ns = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
-    ShardCaptureStats capture;
     uint64_t publish_ns = 0;
     const uint64_t publish_span = OpenSpanStandalone(
         obs::SpanKind::kPublish, static_cast<uint32_t>(s), pass_span);
     {
       std::unique_lock<std::mutex> sl = LockShard(shard);
       common::Stopwatch publish;
-      capture = snapshots_[s].Capture(shard.lm);
+      snapshots_[s].Capture(shard.lm);
       publish_ns = static_cast<uint64_t>(publish.ElapsedNanos());
       shard.hold_ns += publish_ns;
     }
-    snapshots_[s].Fold();
+    const ShardCaptureStats capture = snapshots_[s].Fold();
     // Publish-span counters: a = dirty resources captured, b = the
     // client-visible publish pause in nanoseconds (the span's duration
     // also covers the fold, which runs off the shard lock).
@@ -1006,7 +1043,7 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
     max_publish_ns = std::max(max_publish_ns, publish_ns);
     {
       std::scoped_lock stl(stats_mu_);
-      publish_pause_times_ns_.push_back(publish_ns);
+      publish_pause_times_ns_.Push(publish_ns);
     }
     obs::Event event;
     event.kind = obs::EventKind::kSnapshotPublish;
@@ -1098,10 +1135,46 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
   // moved between seal and apply, and the decision is dropped — the
   // cycle, if it persists, cannot mutate further (every member is
   // blocked) and re-derives cleanly next pass.
+  //
+  // Both branches end the same way: the client-visible pause of a
+  // pauseless pass is whichever critical section was longest, a single
+  // shard publish or the validated apply.
+  const auto end_pass = [&](uint64_t apply_ns, uint64_t lag_ns) {
+    const uint64_t pause_ns = std::max(max_publish_ns, apply_ns);
+    {
+      std::scoped_lock stl(stats_mu_);
+      pause_times_ns_.Push(pause_ns);
+      detection_lag_ns_.Push(lag_ns);
+    }
+    DegradeIfOverBudget(pause_ns);
+    // Pass-span close contract: a = cycles actually resolved (detected
+    // minus stamp-rejected — a rejected decision resolves nothing and is
+    // re-derived next pass), b = the full pass cost in nanoseconds.
+    const uint64_t pass_ns = static_cast<uint64_t>(pass_clock.ElapsedNanos());
+    const uint64_t resolved =
+        report.cycles_detected >= report.rejected
+            ? report.cycles_detected - report.rejected
+            : 0;
+    CloseSpanStandalone(pass_span, resolved, pass_ns);
+    // Full pass cost (publish + detect + validated apply), not just the
+    // client-visible pause: the controller trades detector CPU for
+    // staleness.
+    UpdateSchedulerAfterPass(pass_ns, report);
+  };
+
+  // A pass with no decision has nothing to validate or apply, so it takes
+  // no shard mutex and no txn_mu_ after its publishes: a conflict-free
+  // client meets the pass only at a publish.
+  if (decisions.empty()) {
+    const uint64_t lag_ns = static_cast<uint64_t>(seal_clock.ElapsedNanos());
+    EndIdlePass(observing ? &recorded : nullptr, report, lag_ns, pass_clock);
+    end_pass(/*apply_ns=*/0, lag_ns);
+    return report;
+  }
+
   common::Stopwatch apply_pause;
   common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
+  ShardLocks shard_locks = LockShards(~uint64_t{0}, hold);
   const uint64_t lag_ns = static_cast<uint64_t>(seal_clock.ElapsedNanos());
   {
     std::unique_lock<std::mutex> tl = LockTxnTable();
@@ -1260,8 +1333,9 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
         continue;
       }
       const TxnRecord* rec = Find(tid);
-      const std::vector<lock::TransactionId> granted = ReleaseAllShardsLocked(
-          tid, rec == nullptr ? ~uint64_t{0} : rec->shard_mask.load());
+      const std::vector<lock::TransactionId>& granted =
+          ReleaseAllShardsLocked(
+              tid, rec == nullptr ? ~uint64_t{0} : rec->shard_mask.load());
       report.aborted.push_back(tid);
       for (lock::TransactionId g : granted) {
         granted_set.insert(g);
@@ -1285,15 +1359,7 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
       report.decisions.push_back(std::move(decisions[i]));
     }
 
-    if (live_obs) {
-      obs::Event end;
-      end.kind = obs::EventKind::kPassEnd;
-      end.a = report.cycles_detected;
-      end.b = report.aborted.size();
-      end.span = lag_ns;  // seal-to-apply lag (zero in STW streams)
-      end.value = static_cast<double>(pass_clock.ElapsedNanos());
-      bus_->Emit(std::move(end));
-    }
+    if (live_obs) bus_->Emit(PassEndEvent(report, lag_ns, pass_clock));
     ApplyReportLocked(report);
     if (obs::Enabled(bus_)) PublishShardStatsLocked();
     if (apply_span != 0) {
@@ -1304,35 +1370,41 @@ core::ResolutionReport ConcurrentLockService::RunPauselessPass() {
   }
   const uint64_t apply_ns = static_cast<uint64_t>(apply_pause.ElapsedNanos());
   UnlockAllShards(shard_locks, hold);
-  // The client-visible pause of a pauseless pass is whichever critical
-  // section was longest: a single shard publish or the validated apply.
-  const uint64_t pause_ns = std::max(max_publish_ns, apply_ns);
-  {
-    std::scoped_lock stl(stats_mu_);
-    pause_times_ns_.push_back(pause_ns);
-    detection_lag_ns_.push_back(lag_ns);
-  }
-  DegradeIfOverBudget(pause_ns);
-  // Pass-span close contract: a = cycles actually resolved (detected
-  // minus stamp-rejected — a rejected decision resolves nothing and is
-  // re-derived next pass), b = the full pass cost in nanoseconds.
-  const uint64_t pass_ns = static_cast<uint64_t>(pass_clock.ElapsedNanos());
-  const uint64_t resolved =
-      report.cycles_detected >= report.rejected
-          ? report.cycles_detected - report.rejected
-          : 0;
-  CloseSpanStandalone(pass_span, resolved, pass_ns);
-  // Full pass cost (publish + detect + validated apply), not just the
-  // client-visible pause: the controller trades detector CPU for staleness.
-  UpdateSchedulerAfterPass(pass_ns, report);
+  end_pass(apply_ns, lag_ns);
   return report;
+}
+
+void ConcurrentLockService::EndIdlePass(
+    const std::deque<obs::Event>* recorded,
+    const core::ResolutionReport& report, uint64_t lag_ns,
+    const common::Stopwatch& pass_clock) {
+  // The counters are read one shard mutex at a time, before obs_mu_ (the
+  // innermost lock); between two reads clients run on.
+  std::array<ShardStats, kMaxShards> counters;
+  if (bus_ != nullptr) {
+    for (size_t s = 0; s < shards_.size(); ++s) counters[s] = shard_stats(s);
+  }
+  std::unique_lock<std::mutex> ol(obs_mu_, std::defer_lock);
+  if (observed()) ol.lock();
+  if (recorded != nullptr && obs::Enabled(bus_)) {
+    // A decision-free walk records kPassStart, kStep1, ..., kStep2.
+    bus_->Emit((*recorded)[0]);
+    bus_->Emit((*recorded)[1]);
+    bus_->Emit(recorded->back());
+    bus_->Emit(PassEndEvent(report, lag_ns, pass_clock));
+  }
+  if (obs::Enabled(bus_)) {
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      EmitShardContention(s, counters[s]);
+    }
+  }
+  epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
   common::Stopwatch pause;
   common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
+  ShardLocks shard_locks = LockShards(~uint64_t{0}, hold);
   core::ResolutionReport report;
   {
     std::unique_lock<std::mutex> tl = LockTxnTable();
@@ -1367,7 +1439,7 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
         bus_->Emit(event);
       }
       if (obs::Tracing(tracer_)) tracer_->CloseTxn(victim, /*aborted=*/true);
-      const std::vector<lock::TransactionId> granted =
+      const std::vector<lock::TransactionId>& granted =
           ReleaseAllShardsLocked(victim, mask);
       ReactivateLocked(granted);
       report.aborted.push_back(victim);
@@ -1389,7 +1461,7 @@ core::ResolutionReport ConcurrentLockService::RunTimeoutSweep() {
     // A degraded sweep is not a detection pass: its pause lands in its
     // own series so pause percentiles of full passes stay uncontaminated.
     std::scoped_lock stl(stats_mu_);
-    sweep_pause_times_ns_.push_back(pause_ns);
+    sweep_pause_times_ns_.Push(pause_ns);
   }
   return report;
 }
@@ -1439,14 +1511,19 @@ void ConcurrentLockService::SetStateLocked(lock::TransactionId tid,
 void ConcurrentLockService::PublishShardStatsLocked() {
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
-    obs::Event event;
-    event.kind = obs::EventKind::kShardContention;
-    event.rid = static_cast<lock::ResourceId>(s);  // shard index
-    event.a = shard.acquire_waits;
-    event.b = shard.ops;
-    event.value = static_cast<double>(shard.hold_ns);
-    bus_->Emit(event);
+    EmitShardContention(s, {shard.acquire_waits, shard.ops, shard.hold_ns});
   }
+}
+
+void ConcurrentLockService::EmitShardContention(size_t shard,
+                                                const ShardStats& stats) {
+  obs::Event event;
+  event.kind = obs::EventKind::kShardContention;
+  event.rid = static_cast<lock::ResourceId>(shard);  // shard index
+  event.a = stats.acquire_waits;
+  event.b = stats.ops;
+  event.value = static_cast<double>(stats.hold_ns);
+  bus_->Emit(event);
 }
 
 void ConcurrentLockService::RefreshCost(TxnRecord& rec) const {
@@ -1597,16 +1674,14 @@ Result<bool> ConcurrentLockService::HasDeadlock() {
         "construction is not implemented)");
   }
   common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
+  ShardLocks shard_locks = LockShards(~uint64_t{0}, hold);
   return core::HwTwbg::Build(shards_[0]->lm.table()).HasCycle();
 }
 
 Result<std::string> ConcurrentLockService::RenderView(core::View view) {
   // Stop the world so the rendering is a consistent snapshot.
   common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
+  ShardLocks shard_locks = LockShards(~uint64_t{0}, hold);
   std::unique_lock<std::mutex> tl = LockTxnTable();
   if (view == core::View::kCosts) {
     // core::RenderView's kCosts lines over the union of the shards' known
@@ -1660,29 +1735,28 @@ ShardStats ConcurrentLockService::shard_stats(size_t shard) const {
 
 std::vector<uint64_t> ConcurrentLockService::pause_times_ns() const {
   std::scoped_lock stl(stats_mu_);
-  return pause_times_ns_;
+  return pause_times_ns_.Ordered();
 }
 
 std::vector<uint64_t> ConcurrentLockService::publish_pause_times_ns() const {
   std::scoped_lock stl(stats_mu_);
-  return publish_pause_times_ns_;
+  return publish_pause_times_ns_.Ordered();
 }
 
 std::vector<uint64_t> ConcurrentLockService::sweep_pause_times_ns() const {
   std::scoped_lock stl(stats_mu_);
-  return sweep_pause_times_ns_;
+  return sweep_pause_times_ns_.Ordered();
 }
 
 std::vector<uint64_t> ConcurrentLockService::detection_lag_ns() const {
   std::scoped_lock stl(stats_mu_);
-  return detection_lag_ns_;
+  return detection_lag_ns_.Ordered();
 }
 
 Status ConcurrentLockService::CheckInvariants(bool deep) {
   // Stop the world so the cross-shard picture is consistent.
   common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
+  ShardLocks shard_locks = LockShards(~uint64_t{0}, hold);
   std::unique_lock<std::mutex> tl = LockTxnTable();
   for (size_t s = 0; s < shards_.size(); ++s) {
     Status status = shards_[s]->lm.CheckInvariants(deep);
@@ -1740,8 +1814,7 @@ Status ConcurrentLockService::CheckInvariants(bool deep) {
 std::string ConcurrentLockService::DebugDump() {
   std::string out;
   common::Stopwatch hold;
-  std::vector<std::unique_lock<std::mutex>> shard_locks =
-      LockShards(~uint64_t{0}, hold);
+  ShardLocks shard_locks = LockShards(~uint64_t{0}, hold);
   std::unique_lock<std::mutex> tl = LockTxnTable();
   for (size_t s = 0; s < shards_.size(); ++s) {
     out += common::Format("shard %zu:\n", s);

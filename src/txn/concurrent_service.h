@@ -22,13 +22,18 @@
 //     carries the version stamps of the evidence it was derived from
 //     (core::VictimDecision::evidence) — every resource on its cycle,
 //     which includes the resource a TDR-2 decision repositions; the apply
-//     phase re-checks the stamps under the shard locks and drops — as
+//     phase re-checks the stamps under every shard mutex, txn_mu_ and
+//     (when observed) the observability mutex, and drops — as
 //     kResolutionRejected, retried next pass — any decision whose
-//     evidence moved between seal and apply.  A validated decision's
-//     evidence is byte-identical live and sealed, so the cycle it
-//     resolves exists at apply time: no phantom victim is possible, and a
-//     persistent deadlock (which cannot mutate: every member is blocked)
-//     validates on the next pass at the latest.
+//     evidence moved between seal and apply.  A pass with no decision has
+//     no apply: after its publishes it takes no shard mutex and no
+//     txn_mu_, only the observability mutex for its pass events (and
+//     each shard mutex briefly, one at a time, to read the counters it
+//     reports).  A validated decision's evidence is byte-identical live
+//     and sealed, so the cycle it resolves exists at apply time: no
+//     phantom victim is possible, and a persistent deadlock (which cannot
+//     mutate: every member is blocked) validates on the next pass at the
+//     latest.
 //   - kStopTheWorld: the pass briefly stops the world (all shard locks),
 //     drains the journals into the per-shard incremental graph caches and
 //     detects in place.  The event stream recorded under a pass is a true
@@ -83,7 +88,8 @@
 // recycled through a free list; a finished tid is answered from a 1-bit
 // outcome map (committed / aborted).  txn_mu_ guards only Begin's slot
 // allocation and admission, slot reclamation, the outcome map, the
-// unblock-listener slot and the pass's apply — an immediately granted
+// unblock-listener slot, the release scratch buffers and the apply of a
+// pass that has decisions — an immediately granted
 // acquire takes no txn_mu_ (it looks the record up in a direct-mapped,
 // reader-safe index; each record stores its tid), and a single-shard commit
 // takes it once.  The record fields the acquire path writes (shard_mask,
@@ -101,6 +107,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -172,7 +179,8 @@ struct ConcurrentServiceOptions {
   /// under the observability mutex, satisfying the tracer's single-writer
   /// contract.  The service opens txn spans at Begin / Terminate, the
   /// shard lock managers open/close the wait spans, and each pass emits a
-  /// kPass span with kPublish / kApply / kResolution children (pauseless)
+  /// kPass span with kPublish / kApply / kResolution children (pauseless;
+  /// a pass with no decision has no apply, so no kApply)
   /// — the engine's own detector tracer stays unset because the
   /// component-parallel walk runs on worker threads.  Required when
   /// scheduler.use_span_estimates is set.
@@ -205,6 +213,29 @@ struct ShardStats {
   uint64_t ops = 0;
   /// Total shard-mutex hold time, nanoseconds.
   uint64_t hold_ns = 0;
+};
+
+/// Samples each pass history keeps (pause_times_ns() and its siblings):
+/// at a 2 ms period, about two minutes of passes.  Fixed, so a
+/// long-running daemon's memory stays bounded.
+inline constexpr size_t kPassHistoryCapacity = 65536;
+
+/// The most recent `capacity` samples of a series.  Push is O(1); once
+/// full it overwrites the oldest sample.  Storage grows with the samples,
+/// up to the cap — nothing is reserved up front.
+class RecentSamples {
+ public:
+  /// `capacity` must be positive.
+  explicit RecentSamples(size_t capacity = kPassHistoryCapacity)
+      : capacity_(capacity) {}
+  void Push(uint64_t sample);
+  /// The retained samples, oldest first.
+  std::vector<uint64_t> Ordered() const;
+
+ private:
+  size_t capacity_;
+  std::vector<uint64_t> samples_;
+  size_t oldest_ = 0;  // index of the oldest sample once full
 };
 
 /// Thread-safe strict-2PL lock service with periodic deadlock resolution.
@@ -341,22 +372,29 @@ class ConcurrentLockService {
   /// Contention counters of shard `shard` (zeros when out of range).
   ShardStats shard_stats(size_t shard) const;
 
-  /// Client-visible pause of every completed *full* detection pass,
+  // The four pass histories below each keep only the most recent
+  // kPassHistoryCapacity samples and return them oldest first.  A reader
+  // that remembers size() and later takes the tail past it sees exactly
+  // the new samples as long as fewer than kPassHistoryCapacity samples
+  // were ever recorded.
+
+  /// Client-visible pause of each recent *full* detection pass,
   /// nanoseconds, in pass order.  For kEpochDelta this is max(longest
-  /// shard publish, apply critical section); for kStopTheWorld it is the
-  /// whole pass.  Degraded timeout-sweep passes are recorded separately
-  /// in sweep_pause_times_ns().
+  /// shard publish, apply critical section) — a pass with no decision has
+  /// no apply critical section; for kStopTheWorld it is the whole pass.
+  /// Degraded timeout-sweep passes are recorded separately in
+  /// sweep_pause_times_ns().
   std::vector<uint64_t> pause_times_ns() const;
 
-  /// Every individual shard publish pause, nanoseconds, in capture order
-  /// (kEpochDelta passes only; num_shards entries per pass).
+  /// Each recent individual shard publish pause, nanoseconds, in capture
+  /// order (kEpochDelta passes only; num_shards entries per pass).
   std::vector<uint64_t> publish_pause_times_ns() const;
 
-  /// Pause of every degraded timeout-sweep pass, nanoseconds, in pass
-  /// order.
+  /// Pause of each recent degraded timeout-sweep pass, nanoseconds, in
+  /// pass order.
   std::vector<uint64_t> sweep_pause_times_ns() const;
 
-  /// Seal-to-apply detection lag of every completed kEpochDelta pass,
+  /// Seal-to-apply detection lag of each recent kEpochDelta pass,
   /// nanoseconds, in pass order: how stale the sealed epoch was when the
   /// validated change-list reached the live shards.
   std::vector<uint64_t> detection_lag_ns() const;
@@ -492,10 +530,27 @@ class ConcurrentLockService {
 
   size_t ShardIndex(lock::ResourceId rid) const;
 
+  // The shard mutexes named by a mask, held from LockShards until
+  // Unlock() or destruction.  The mask is the whole state, so holding any
+  // set of shards allocates nothing.
+  class ShardLocks {
+   public:
+    ShardLocks(const std::vector<std::unique_ptr<Shard>>& shards,
+               uint64_t mask)
+        : shards_(&shards), mask_(mask) {}
+    ShardLocks(const ShardLocks&) = delete;
+    ShardLocks& operator=(const ShardLocks&) = delete;
+    ~ShardLocks() { Unlock(); }
+    void Unlock();
+
+   private:
+    const std::vector<std::unique_ptr<Shard>>* shards_;
+    uint64_t mask_;
+  };
+
   // Locks every shard whose mask bit is set, ascending, maintaining the
   // contention counters.  `hold` starts timing once all are held.
-  std::vector<std::unique_lock<std::mutex>> LockShards(
-      uint64_t mask, common::Stopwatch& hold);
+  ShardLocks LockShards(uint64_t mask, common::Stopwatch& hold);
 
   // Locks one shard, maintaining its contention counters.
   std::unique_lock<std::mutex> LockShard(Shard& shard);
@@ -571,8 +626,9 @@ class ConcurrentLockService {
   // records, and emits the single kLockRelease summary (iff some shard
   // knew the transaction — mirroring LockManager::ReleaseAll).  Requires
   // the masked shard mutexes, txn_mu_ and (when a bus is attached)
-  // obs_mu_ to be held.  Returns the granted transactions in grant order.
-  std::vector<lock::TransactionId> ReleaseAllShardsLocked(
+  // obs_mu_ to be held.  Returns the granted transactions in grant order,
+  // in a txn_mu_-guarded scratch buffer valid until the next call.
+  const std::vector<lock::TransactionId>& ReleaseAllShardsLocked(
       lock::TransactionId tid, uint64_t mask);
 
   // Mirrors TransactionManager::ApplyReport under the pass's locks:
@@ -591,10 +647,21 @@ class ConcurrentLockService {
   // Emits one kShardContention per shard (pass locks held, bus active).
   void PublishShardStatsLocked();
 
+  // Emits shard `shard`'s kShardContention from `stats` (obs_mu_ held,
+  // bus active).
+  void EmitShardContention(size_t shard, const ShardStats& stats);
+
+  // Ends a pauseless pass that has no decision, holding no shard mutex
+  // and no txn_mu_: streams the walk's kPassStart, kStep1 and kStep2 from
+  // `recorded` (null when nothing was observed) with its kPassEnd under
+  // obs_mu_, then every shard's counters, and bumps the epoch.
+  void EndIdlePass(const std::deque<obs::Event>* recorded,
+                   const core::ResolutionReport& report, uint64_t lag_ns,
+                   const common::Stopwatch& pass_clock);
+
   // Ends a pass that held every shard: charges the hold time to each
   // shard, wakes every parked waiter and releases the locks.
-  void UnlockAllShards(std::vector<std::unique_lock<std::mutex>>& locks,
-                       const common::Stopwatch& hold);
+  void UnlockAllShards(ShardLocks& locks, const common::Stopwatch& hold);
 
   // Graceful degradation: a full pass whose client-visible pause blew the
   // (period-scaled) budget switches the next degraded_passes scheduled
@@ -655,6 +722,10 @@ class ConcurrentLockService {
   std::atomic<size_t> live_txns_{0};
   size_t deadlock_victims_ = 0;
   std::function<void(lock::TransactionId)> unblock_listener_;
+  // ReleaseAllShardsLocked's buffers, kept warm so a commit allocates
+  // nothing.
+  std::vector<lock::ResourceId> release_rids_;
+  std::vector<lock::TransactionId> release_granted_;
 
   // Serializes every emission on the shared bus and span tracer
   // (innermost lock; only taken when one of them is attached).
@@ -687,11 +758,13 @@ class ConcurrentLockService {
   std::atomic<uint32_t> degraded_remaining_{0};
   std::atomic<uint64_t> resolutions_rejected_{0};
 
+  // Pass histories (stats_mu_), each bounded to the most recent
+  // kPassHistoryCapacity samples.
   mutable std::mutex stats_mu_;
-  std::vector<uint64_t> pause_times_ns_;
-  std::vector<uint64_t> publish_pause_times_ns_;
-  std::vector<uint64_t> sweep_pause_times_ns_;
-  std::vector<uint64_t> detection_lag_ns_;
+  RecentSamples pause_times_ns_;
+  RecentSamples publish_pause_times_ns_;
+  RecentSamples sweep_pause_times_ns_;
+  RecentSamples detection_lag_ns_;
 
   // -- closed-loop scheduling state --
   // Controller calls are serialized by sched_mu_ (taken with no other

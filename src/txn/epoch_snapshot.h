@@ -4,13 +4,16 @@
 // txn::ConcurrentLockService owns a ShardSnapshot: a detector-side mirror
 // of the shard's lock table plus the per-transaction wait bookkeeping the
 // walk and post-mortems read.  A pass begins by *publishing* every
-// shard's delta — Capture() runs under the shard mutex and stages exactly
-// the resources the live table's mutation journal says changed since the
-// previous pass, an O(delta) copy — and then *sealing* the epoch:
-// Fold() applies the staged delta into the mirror outside any lock.  The
+// shard's delta — Capture() runs under the shard mutex, walks the
+// resources the live table's mutation journal says changed since the
+// previous pass and stages each live one once and each gone one the
+// mirror holds, an O(delta) copy with no sort — and then *sealing* the
+// epoch: Fold() applies the staged delta into the mirror outside any
+// lock.  The
 // Step 1/2 detection walk then runs over the sealed mirrors while client
 // traffic proceeds on the live shards; the only pause a shard ever
-// observes is its own Capture().
+// observes is its own Capture() (plus the validated apply of a pass that
+// has decisions; see txn/concurrent_service.h).
 //
 // Why the mirror converges: every mutation of live resource state —
 // grants, blocks, releases, repositionings, cancellations — goes through
@@ -39,10 +42,11 @@
 
 namespace twbg::txn {
 
-/// What one Capture() staged, for the kSnapshotPublish event.
+/// What one publish (Capture() then Fold()) changed, for the
+/// kSnapshotPublish event.
 struct ShardCaptureStats {
-  /// Distinct resources staged (journal delta, or changed/erased entries
-  /// found by the fallback sweep).
+  /// Distinct resources whose mirror entry changed: live resources copied
+  /// in with a new version stamp plus mirror entries erased.
   size_t dirty = 0;
   /// True when the journal could not answer (reader fell behind its
   /// retention window) and the capture fell back to a full
@@ -62,15 +66,22 @@ class ShardSnapshot {
 
   /// Stages everything that changed in `live` since the previous capture,
   /// plus the live per-transaction wait map.  Runs under the shard mutex;
-  /// O(resources mutated since last pass + active transactions) when the
-  /// journal can answer, O(shard table) on the fallback sweep.  No mirror
-  /// state is modified — publication is split so the costly fold runs
-  /// outside the lock.
-  ShardCaptureStats Capture(const lock::LockManager& live);
+  /// O(journal entries since last pass + active transactions) when the
+  /// journal can answer, O(shard table) on the fallback sweep.  Nothing
+  /// is sorted: each journal id costs one live lookup.  A live resource
+  /// is staged once (the live ids are deduplicated in place); a resource
+  /// gone from the live table is staged for erasure only if the mirror
+  /// holds it, so one created and released between two passes, which
+  /// never reached the mirror, is dropped.  No mirror state is modified —
+  /// publication is split so the fold runs outside the lock.
+  void Capture(const lock::LockManager& live);
 
-  /// Folds the staged delta into the mirror.  Runs WITHOUT the shard
-  /// mutex; touches only detector-owned state.
-  void Fold();
+  /// Folds the staged delta into the mirror: erases the staged gone
+  /// entries (a repeated id once), copies each staged live state whose
+  /// version stamp differs from the mirror's, adopts the wait map.  Runs
+  /// WITHOUT the shard mutex; touches only detector-owned state.
+  /// Returns what the publish changed.
+  ShardCaptureStats Fold();
 
   /// The sealed mirror table.  Mutable access exists for the walk's
   /// TDR-2 repositioning (applied to the mirror first, validated against
@@ -107,15 +118,17 @@ class ShardSnapshot {
   // re-rejects) resolutions from the corrupt mirror.
   uint64_t folded_seq_ = 0;
 
-  // Staging area filled by Capture, consumed by Fold.
+  // Staging area filled by Capture, consumed by Fold.  dirty_scratch_
+  // holds the raw journal ids, then (in place) the distinct live ones.
   std::vector<lock::ResourceId> dirty_scratch_;
+  bool staged_full_sweep_ = false;
   // staged_states_ keeps its elements alive across passes and tracks the
   // in-use prefix in staged_states_used_: reusing a ResourceState by
   // assignment reuses its holder/queue vector capacity, so steady-state
   // captures allocate nothing under the shard lock.
   std::vector<lock::ResourceState> staged_states_;
   size_t staged_states_used_ = 0;
-  std::vector<lock::ResourceId> staged_erased_;
+  std::vector<lock::ResourceId> staged_erased_;  // may repeat an id
   std::vector<std::pair<lock::TransactionId, lock::TxnLockInfo>>
       staged_waits_;
 };

@@ -10,7 +10,9 @@
 //   * steady-state create/erase churn on a LockTable recycles pooled
 //     states instead of allocating,
 //   * the fast-path Acquire of an uncontended lock allocates nothing
-//     once the transaction and resource footprints exist.
+//     once the transaction and resource footprints exist,
+//   * a steady-state Begin / AcquireAsync / Commit transaction on the
+//     sharded service allocates nothing, however many shards it spans.
 //
 // The counter hooks this test binary's global operator new, so every
 // EXPECT below measures the whole process — run serially (gtest default)
@@ -21,10 +23,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "lock/lock_manager.h"
 #include "lock/lock_table.h"
 #include "lock/resource_state.h"
+#include "txn/concurrent_service.h"
 #include "txn/epoch_snapshot.h"
 
 namespace {
@@ -149,6 +153,51 @@ TEST(CaptureAllocTest, UncontendedAcquireReleaseIsAllocFree) {
   }
   EXPECT_EQ(AllocCount(), before)
       << "uncontended acquire/release must ride the fast path alloc-free";
+}
+
+TEST(CaptureAllocTest, SteadyStateMultiShardCommitIsAllocFree) {
+  txn::ConcurrentServiceOptions options;
+  options.num_shards = 4;
+  auto created = txn::ConcurrentLockService::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  txn::ConcurrentLockService& service = **created;
+
+  // One resource per shard, found by watching which shard's op counter a
+  // lone acquire moves.
+  std::vector<lock::ResourceId> rids(options.num_shards, 0);
+  size_t found = 0;
+  for (lock::ResourceId rid = 1; found < rids.size(); ++rid) {
+    ASSERT_LT(rid, 1000u);
+    std::vector<uint64_t> before;
+    for (size_t s = 0; s < service.num_shards(); ++s) {
+      before.push_back(service.shard_stats(s).ops);
+    }
+    const lock::TransactionId t = *service.Begin();
+    ASSERT_TRUE(service.AcquireAsync(t, rid, LockMode::kX).ok());
+    for (size_t s = 0; s < service.num_shards(); ++s) {
+      if (service.shard_stats(s).ops != before[s] && rids[s] == 0) {
+        rids[s] = rid;
+        ++found;
+      }
+    }
+    ASSERT_TRUE(service.Commit(t).ok());
+  }
+
+  auto one_txn = [&] {
+    const lock::TransactionId t = *service.Begin();
+    for (const lock::ResourceId rid : rids) {
+      ASSERT_EQ(*service.AcquireAsync(t, rid, LockMode::kX),
+                lock::RequestOutcome::kGranted);
+    }
+    ASSERT_TRUE(service.Commit(t).ok());
+  };
+  // Warm the transaction slab and index, each shard's bookkeeping and
+  // resource pools, and the release scratch.
+  for (int i = 0; i < 200; ++i) one_txn();
+  const uint64_t before = AllocCount();
+  for (int i = 0; i < 100; ++i) one_txn();
+  EXPECT_EQ(AllocCount(), before)
+      << "a steady-state 4-shard transaction must not allocate";
 }
 
 }  // namespace

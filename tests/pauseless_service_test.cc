@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "obs/bus.h"
 #include "obs/sinks.h"
 #include "obs/span.h"
@@ -194,13 +196,161 @@ TEST(ShardSnapshotTest, DetectPhaseMirrorMutationsAreRestagedFromLive) {
   snapshot.mutable_table().FindMutable(7)->Remove(2);
   ASSERT_NE(snapshot.table().Find(7)->version(), live_version);
 
-  ShardCaptureStats stats = snapshot.Capture(lm);
+  snapshot.Capture(lm);
+  ShardCaptureStats stats = snapshot.Fold();
   EXPECT_EQ(stats.dirty, 1u);
   EXPECT_FALSE(stats.full_sweep);
-  snapshot.Fold();
   EXPECT_EQ(snapshot.table().Find(7)->version(), live_version);
   EXPECT_EQ(snapshot.table().Find(7)->ToString(),
             lm.table().Find(7)->ToString());
+}
+
+// Randomized differential for the publish: between captures, a few ids
+// are created, mutated, erased, and erased then recreated.  After every
+// Capture+Fold the mirror must hold exactly the live rid set with the live
+// version stamps and the live wait map, and the capture must report
+// exactly the distinct ids whose mirror entry changed — an id created and
+// released in between counts for nothing, a repeated one counts once.
+TEST(ShardSnapshotTest, RandomizedCaptureMatchesLiveTable) {
+  common::Rng rng(20261020);
+  lock::LockManager lm;
+  ShardSnapshot snapshot;
+  constexpr lock::ResourceId kRids = 6;
+  constexpr lock::TransactionId kTids = 5;
+  const lock::LockMode kModes[] = {kIS, kIX, kS, kX};
+  size_t staged = 0;
+  for (int round = 0; round < 400; ++round) {
+    const int ops = static_cast<int>(rng.NextBelow(12));
+    for (int op = 0; op < ops; ++op) {
+      const lock::TransactionId tid =
+          static_cast<lock::TransactionId>(1 + rng.NextBelow(kTids));
+      const lock::ResourceId rid =
+          static_cast<lock::ResourceId>(1 + rng.NextBelow(kRids));
+      switch (rng.NextBelow(4)) {
+        case 0:  // erase: the transaction ends, freeing what only it held
+          lm.ReleaseAll(tid);
+          break;
+        case 1:  // erase then recreate within the same delta
+          lm.ReleaseAll(tid);
+          ASSERT_TRUE(lm.Acquire(tid, rid, kX).ok());
+          break;
+        default:  // create or mutate (a blocked transaction waits quietly)
+          if (!lm.IsBlocked(tid)) {
+            ASSERT_TRUE(lm.Acquire(tid, rid, kModes[rng.NextBelow(4)]).ok());
+          }
+          break;
+      }
+    }
+    // Distinct ids whose mirror entry must change: present on one side
+    // only, or present on both with different stamps.
+    std::set<lock::ResourceId> changed;
+    for (const auto& [rid, state] : lm.table()) {
+      const lock::ResourceState* mine = snapshot.table().Find(rid);
+      if (mine == nullptr || mine->version() != state.version()) {
+        changed.insert(rid);
+      }
+    }
+    for (const auto& [rid, state] : snapshot.table()) {
+      if (lm.table().Find(rid) == nullptr) changed.insert(rid);
+    }
+
+    snapshot.Capture(lm);
+    const ShardCaptureStats stats = snapshot.Fold();
+    ASSERT_FALSE(stats.full_sweep);
+    ASSERT_EQ(stats.dirty, changed.size()) << "round " << round;
+    ASSERT_EQ(snapshot.table().OrderedRids(), lm.table().OrderedRids())
+        << "round " << round;
+    for (const auto& [rid, state] : lm.table()) {
+      ASSERT_EQ(snapshot.table().Find(rid)->version(), state.version());
+      ASSERT_EQ(snapshot.table().Find(rid)->ToString(), state.ToString());
+    }
+    for (lock::TransactionId tid = 1; tid <= kTids; ++tid) {
+      const lock::TxnLockInfo* live = lm.Info(tid);
+      const lock::TxnLockInfo* mirror = snapshot.FindWaitInfo(tid);
+      ASSERT_EQ(live == nullptr, mirror == nullptr) << "T" << tid;
+      if (live != nullptr) {
+        ASSERT_EQ(live->blocked_on, mirror->blocked_on) << "T" << tid;
+      }
+    }
+    staged += stats.dirty;
+  }
+  EXPECT_GT(staged, 400u);  // the mix really moved the mirror
+}
+
+// A pass that finds no deadlock has nothing to apply, so it takes each
+// shard mutex exactly once — for its publish — and still stamps an epoch,
+// records a pause and streams its pass frame and shard counters.
+TEST(PauselessServiceTest, IdlePassLocksEachShardOnlyToPublish) {
+  obs::EventBus bus;
+  obs::CollectorSink events;
+  bus.Subscribe(&events);
+  ConcurrentServiceOptions options =
+      QuiescedOptions(SnapshotStrategy::kEpochDelta);
+  options.event_bus = &bus;
+  auto service = ConcurrentLockService::Create(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ConcurrentLockService& s = **service;
+  const lock::TransactionId t1 = *s.Begin();
+  const lock::TransactionId t2 = *s.Begin();
+  for (lock::ResourceId rid = 1; rid <= 8; ++rid) {
+    ASSERT_TRUE(s.AcquireBlocking(rid % 2 == 0 ? t1 : t2, rid, kX).ok());
+  }
+
+  std::vector<uint64_t> ops_before;
+  for (size_t shard = 0; shard < s.num_shards(); ++shard) {
+    ops_before.push_back(s.shard_stats(shard).ops);
+  }
+  const core::ResolutionReport report = s.RunDetectionPass();
+  EXPECT_EQ(report.cycles_detected, 0u);
+  for (size_t shard = 0; shard < s.num_shards(); ++shard) {
+    EXPECT_EQ(s.shard_stats(shard).ops, ops_before[shard] + 1)
+        << "shard " << shard;
+  }
+  EXPECT_EQ(s.snapshot_epoch(), 1u);
+  const std::vector<uint64_t> publishes = s.publish_pause_times_ns();
+  ASSERT_EQ(publishes.size(), s.num_shards());
+  ASSERT_EQ(s.pause_times_ns().size(), 1u);
+  EXPECT_EQ(s.pause_times_ns()[0],
+            *std::max_element(publishes.begin(), publishes.end()));
+  EXPECT_EQ(s.detection_lag_ns().size(), 1u);
+
+  EXPECT_EQ(events.Count(obs::EventKind::kPassStart), 1u);
+  EXPECT_EQ(events.Count(obs::EventKind::kStep1), 1u);
+  EXPECT_EQ(events.Count(obs::EventKind::kStep2), 1u);
+  EXPECT_EQ(events.Count(obs::EventKind::kPassEnd), 1u);
+  const std::vector<obs::Event> counters =
+      events.Filter(obs::EventKind::kShardContention);
+  ASSERT_EQ(counters.size(), s.num_shards());
+  for (const obs::Event& event : counters) {
+    EXPECT_EQ(event.b, ops_before[event.rid] + 1);  // the publish counted
+  }
+  EXPECT_TRUE(s.Commit(t1).ok());
+  EXPECT_TRUE(s.Commit(t2).ok());
+}
+
+TEST(RecentSamplesTest, KeepsTheNewestSamplesOldestFirst) {
+  RecentSamples samples(4);
+  EXPECT_TRUE(samples.Ordered().empty());
+  for (uint64_t v = 1; v <= 3; ++v) samples.Push(v);
+  EXPECT_EQ(samples.Ordered(), (std::vector<uint64_t>{1, 2, 3}));
+  for (uint64_t v = 4; v <= 10; ++v) samples.Push(v);
+  EXPECT_EQ(samples.Ordered(), (std::vector<uint64_t>{7, 8, 9, 10}));
+}
+
+// A daemon runs a pass every few milliseconds for as long as it lives:
+// the pass histories must stop growing at kPassHistoryCapacity.
+TEST(PauselessServiceTest, PassHistoriesStayBounded) {
+  ConcurrentServiceOptions options;
+  options.num_shards = 1;
+  auto service = ConcurrentLockService::Create(options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ConcurrentLockService& s = **service;
+  const size_t passes = kPassHistoryCapacity + 100;
+  for (size_t i = 0; i < passes; ++i) (void)s.RunDetectionPass();
+  EXPECT_EQ(s.snapshot_epoch(), passes);
+  EXPECT_EQ(s.pause_times_ns().size(), kPassHistoryCapacity);
+  EXPECT_EQ(s.publish_pause_times_ns().size(), kPassHistoryCapacity);
+  EXPECT_EQ(s.detection_lag_ns().size(), kPassHistoryCapacity);
 }
 
 TEST(PauselessServiceTest, StaleCommandIsRetriedByTheNextPass) {
